@@ -286,7 +286,7 @@ BM_FusedSweep2BcGskewScalarSteppers(benchmark::State &state)
 }
 BENCHMARK(BM_FusedSweep2BcGskewScalarSteppers)->Apply(applyDefaults);
 
-/** The same six-lane sweep as six independent walks (EV8_FUSED=0). */
+/** The same six-lane sweep as six one-lane walks (EV8_FUSED_LANES=1). */
 void
 BM_PerCellSweepGshare(benchmark::State &state)
 {

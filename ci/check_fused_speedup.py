@@ -2,8 +2,9 @@
 """CI guard: fused simulation must stay meaningfully faster than per-cell.
 
 Times bench_fig6_history_length (the sweep the lane-fused kernel was
-built for) in both execution modes -- EV8_FUSED=0 (one stream walk per
-grid cell) and EV8_FUSED=1 (one walk per fused lane group) -- and fails
+built for) in both execution modes -- EV8_FUSED_LANES=1 (one stream walk
+per grid cell) and the default lane cap (one walk per fused lane
+group) -- and fails
 if the wall-clock speedup falls below the committed baseline minus its
 tolerance. The fused mode also runs once with EV8_SIMD=0 (the scalar
 steppers) for an informational vector-vs-scalar A/B, and every mode's
@@ -16,9 +17,10 @@ Methodology, tuned for noisy shared runners:
  * A throwaway warm-up run populates the persistent trace cache, so
    trace synthesis (identical in both modes) is not charged to
    whichever mode happens to run first.
- * Modes alternate 0,1,1,0,... and the minimum wall-clock per mode is
-   compared: the fastest repetition is the one with the least
-   interference, and alternation cancels slow drift.
+ * Modes alternate per-cell, fused, fused, per-cell, ... and the
+   minimum wall-clock per mode is compared: the fastest repetition is
+   the one with the least interference, and alternation cancels slow
+   drift.
  * Runs use --no-timing: per-call timing profiling forces the fused
    kernel onto the per-lane observed path (every lane needs its own
    timer), so a timed run measures the profiler, not the simulator.
@@ -47,16 +49,20 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from strip_telemetry import mask_timing_dependent  # noqa: E402
 
 
-def run_once(bench, branches, jobs, fused, workdir, tag, simd=None):
+def run_once(bench, branches, jobs, mode, workdir, tag, simd=None):
     """One timed bench run; returns (seconds, json_path, csv_path).
 
-    simd=None inherits the caller's EV8_SIMD (so a scalar-forced CI job
-    applies to every run); a string forces that backend for this run.
+    mode "percell" caps fused jobs at one lane (EV8_FUSED_LANES=1);
+    "fused" runs the default lane cap. simd=None inherits the caller's
+    EV8_SIMD (so a scalar-forced CI job applies to every run); a string
+    forces that backend for this run.
     """
     json_path = os.path.join(workdir, f"{tag}.json")
     csv_path = os.path.join(workdir, f"{tag}.csv")
     env = dict(os.environ)
-    env["EV8_FUSED"] = fused
+    env.pop("EV8_FUSED_LANES", None)
+    if mode == "percell":
+        env["EV8_FUSED_LANES"] = "1"
     if simd is not None:
         env["EV8_SIMD"] = simd
     env["EV8_TRACE_CACHE_DIR"] = os.path.join(workdir, "trace_cache")
@@ -144,46 +150,48 @@ def main():
 
     with tempfile.TemporaryDirectory(prefix="fused_speedup_") as workdir:
         # Warm the trace cache so synthesis cost lands on no mode.
-        run_once(args.bench, branches, jobs, "1", workdir, "warmup")
+        run_once(args.bench, branches, jobs, "fused", workdir, "warmup")
 
-        times = {"0": [], "1": []}
+        times = {"percell": [], "fused": []}
         artifacts = {}
-        # Alternate 0,1,1,0,... so slow machine drift cancels.
+        # Alternate per-cell, fused, fused, per-cell, ... so slow
+        # machine drift cancels.
         order = []
         for r in range(repeats):
-            order += ["0", "1"] if r % 2 == 0 else ["1", "0"]
+            order += (["percell", "fused"] if r % 2 == 0
+                      else ["fused", "percell"])
         for i, mode in enumerate(order):
             secs, json_path, csv_path = run_once(
                 args.bench, branches, jobs, mode, workdir,
-                f"run{i}_fused{mode}")
+                f"run{i}_{mode}")
             times[mode].append(secs)
             artifacts[mode] = (json_path, csv_path)
-            print(f"run {i}: EV8_FUSED={mode}  {secs:.3f}s")
+            print(f"run {i}: {mode}  {secs:.3f}s")
 
         # One fused run on the scalar steppers: the dispatch-invariance
         # gate (byte-identical artifacts) plus the vector-vs-scalar A/B.
         simd0_secs, simd0_json, simd0_csv = run_once(
-            args.bench, branches, jobs, "1", workdir, "fused_simd0",
+            args.bench, branches, jobs, "fused", workdir, "fused_simd0",
             simd="0")
-        print(f"A/B: EV8_FUSED=1 EV8_SIMD=0  {simd0_secs:.3f}s")
+        print(f"A/B: fused EV8_SIMD=0  {simd0_secs:.3f}s")
 
-        report["simd"] = artifact_simd(artifacts["1"][0])
-        report["percell_s"] = times["0"]
-        report["fused_s"] = times["1"]
+        report["simd"] = artifact_simd(artifacts["fused"][0])
+        report["percell_s"] = times["percell"]
+        report["fused_s"] = times["fused"]
         report["fused_simd0_s"] = [simd0_secs]
         print(f"active SIMD backend: {report['simd']['backend']} "
               f"(x{report['simd']['lanes']} lanes)")
 
-        if not compare_artifacts("per-cell", artifacts["0"],
-                                 "fused", artifacts["1"]):
+        if not compare_artifacts("per-cell", artifacts["percell"],
+                                 "fused", artifacts["fused"]):
             return finish(1)
-        if not compare_artifacts("fused", artifacts["1"],
+        if not compare_artifacts("fused", artifacts["fused"],
                                  "fused(EV8_SIMD=0)",
                                  (simd0_json, simd0_csv)):
             return finish(1)
 
-        percell = min(times["0"])
-        fused = min(times["1"])
+        percell = min(times["percell"])
+        fused = min(times["fused"])
         speedup = percell / fused
         report["percell_min_s"] = percell
         report["fused_min_s"] = fused

@@ -4,11 +4,11 @@
  *
  * The --jobs discipline (strict digits-only parsing, a hard usage error
  * on garbage instead of a silent fallback) applies to environment knobs
- * too: a typo like EV8_FUSED=ture or EV8_BRANCHES_PER_BENCH=1e6 must
- * not silently select a default the user did not ask for. Every helper
- * here either returns the parsed value or prints one clear stderr
- * diagnostic naming the variable and exits with the usage status (2),
- * matching EV8_JOBS / EV8_RETRY_MAX.
+ * too: a typo like EV8_GENERIC_KERNEL=ture or
+ * EV8_BRANCHES_PER_BENCH=1e6 must not silently select a default the
+ * user did not ask for. Every helper here either returns the parsed
+ * value or prints one clear stderr diagnostic naming the variable and
+ * exits with the usage status (2), matching EV8_JOBS / EV8_RETRY_MAX.
  */
 
 #ifndef EV8_COMMON_ENV_HH

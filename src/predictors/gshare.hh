@@ -40,8 +40,8 @@ class GsharePredictor final : public ConditionalBranchPredictor
     unsigned historyLength() const { return histLen; }
 
     /**
-     * Two-phase entry points for the fused multi-lane kernel: the pure
-     * index computation (so N lanes' folds can be computed
+     * Two-phase entry points for the scalar FusedGroup stepper: the
+     * pure index computation (so N lanes' folds can be computed
      * back-to-back) and the combined counter read + train step (one
      * table-word access instead of the separate predict()/update()
      * pair, which each recompute the index).

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <map>
-#include <tuple>
 #include <sstream>
 #include <thread>
 
@@ -449,7 +447,6 @@ class PredictionServer::Session
     runCells()
     {
         CellExecutor executor;
-        const bool fused = ExperimentEngine::fusedEnabled();
         const size_t laneCap = ExperimentEngine::fusedLaneCap();
         for (size_t b = 0; b < nbench_; ++b) {
             StreamAssembler assembler;
@@ -475,41 +472,16 @@ class PredictionServer::Session
             const BlockStream stream = assembler.take();
             current_ = &stream;
 
-            // This benchmark's cells, in row order. The open flags are
-            // session-wide, so a lane group is determined by the row's
-            // walk config (rows may override the grid preset); group by
-            // the same simulation-field key the batch engine's fuse key
-            // uses, preserving row order within each group and opening
-            // a fresh group at the lane cap, so the groups match the
-            // batch engine's byte for byte.
+            // This benchmark's cells, in row order, fused by the same
+            // planner as the batch engine (rows may override the grid's
+            // walk config, so one benchmark can yield several groups).
             std::vector<size_t> bench_cells;
             bench_cells.reserve(rows_.size());
             for (size_t r = 0; r < rows_.size(); ++r)
                 bench_cells.push_back(r * nbench_ + b);
-            if (!fused) {
-                for (const size_t i : bench_cells)
-                    executor.runGuarded(i, requests_[i], outputs_[i]);
-            } else {
-                using WalkKey = std::tuple<int, unsigned, bool>;
-                std::vector<std::vector<size_t>> groups;
-                std::map<WalkKey, size_t> open;
-                for (const size_t i : bench_cells) {
-                    const SimConfig &c = requests_[i].config;
-                    const WalkKey key{static_cast<int>(c.history),
-                                      c.historyAge, c.assignBanks};
-                    auto [it, inserted] =
-                        open.try_emplace(key, groups.size());
-                    if (inserted) {
-                        groups.emplace_back();
-                    } else if (groups[it->second].size() >= laneCap) {
-                        it->second = groups.size();
-                        groups.emplace_back();
-                    }
-                    groups[it->second].push_back(i);
-                }
-                for (const auto &cells : groups)
-                    executor.runGroup(cells, requests_, outputs_);
-            }
+            for (const auto &cells :
+                 planFuseGroups(bench_cells, requests_, laneCap))
+                executor.runGroup(cells, requests_, outputs_);
             current_ = nullptr;
             for (const size_t i : bench_cells) {
                 if (outputs_[i].failed)

@@ -26,7 +26,7 @@
  * TraceCache can persist decoded streams next to cached traces.
  *
  * The stream is also the unit of sharing for fused multi-configuration
- * simulation (runFusedStreamKernel): because the data is immutable and
+ * simulation (simulateStreamFused): because the data is immutable and
  * the walk order is defined entirely by the stream, N predictor lanes
  * can consume one linear pass concurrently with no per-lane decode or
  * history state of their own.

@@ -1,7 +1,9 @@
 #include "sim/cell_executor.hh"
 
 #include <chrono>
+#include <map>
 #include <thread>
+#include <tuple>
 
 #include "common/env.hh"
 #include "obs/json.hh"
@@ -52,40 +54,6 @@ CellExecutor::backoff(unsigned attempt) const
 }
 
 void
-CellExecutor::runCell(const CellRequest &req, CellOutput &out) const
-{
-    out.result.bench = req.profile->name;
-
-    // The pre-decoded stream, not the trace: decode happens once per
-    // benchmark (and not at all with a warm on-disk stream cache),
-    // however many cells revisit it.
-    const BlockStream &stream = req.stream();
-    PredictorPtr predictor = req.factory();
-
-    // Isolate the observability sinks: the caller's shared sinks are
-    // merge *targets*, never touched by executing cells.
-    SimConfig config = req.config;
-    BufferedEventSink buffer;
-    config.events = req.wantEvents ? &buffer : nullptr;
-    config.metrics = req.wantMetrics ? &out.metrics : nullptr;
-    if (req.wantEvents) {
-        out.classes = SyntheticProgram(*req.profile)
-                          .condBranchClasses();
-    }
-
-    const SamplePlan *plan = req.plan ? req.plan() : nullptr;
-    out.result.sim = plan
-        ? simulateStreamSampled(stream, *predictor, config, *plan)
-        : simulateStream(stream, *predictor, config);
-
-    if (config.metrics) {
-        predictor->publishMetrics(out.metrics,
-                                  "pred." + predictor->name());
-    }
-    out.events = buffer.take();
-}
-
-void
 CellExecutor::recordCellSpan(const CellRequest &req, unsigned attempt,
                              size_t lanes, bool attempt_failed,
                              uint64_t start_ns, uint64_t dur_ns) const
@@ -105,9 +73,12 @@ CellExecutor::recordCellSpan(const CellRequest &req, unsigned attempt,
 }
 
 void
-CellExecutor::runGuarded(size_t index, const CellRequest &req,
-                         CellOutput &out) const
+CellExecutor::runGuarded(size_t index,
+                         const std::vector<CellRequest> &reqs,
+                         std::vector<CellOutput> &outputs) const
 {
+    const CellRequest &req = reqs[index];
+    CellOutput &out = outputs[index];
     SpanTracer &tracer = SpanTracer::global();
     ProgressMeter &progress = ProgressMeter::global();
     FaultInjector &faults = FaultInjector::global();
@@ -123,7 +94,7 @@ CellExecutor::runGuarded(size_t index, const CellRequest &req,
             if (req.sessionFaults) {
                 faults.maybeThrow(FaultPoint::SessionDrop, req.key);
             }
-            runCell(req, out);
+            runFused({index}, reqs, outputs);
             if (journal)
                 journal(index, out);
             ok = true;
@@ -176,8 +147,7 @@ CellExecutor::runFused(const std::vector<size_t> &cells,
     const bool want_metrics = lead.wantMetrics;
 
     // The pc -> behaviour-class map is a function of the benchmark
-    // alone: build it once per fused job, copy per event-carrying cell
-    // (the per-cell path builds one per cell).
+    // alone: build it once per group, copy per event-carrying cell.
     BranchClassMap classes;
     if (want_events)
         classes = SyntheticProgram(*lead.profile).condBranchClasses();
@@ -203,9 +173,8 @@ CellExecutor::runFused(const std::vector<size_t> &cells,
     config.events = nullptr;
 
     const SamplePlan *plan = lead.plan ? lead.plan() : nullptr;
-    std::vector<SimResult> sims = plan
-        ? simulateStreamFusedSampled(stream, lanes, config, *plan)
-        : simulateStreamFused(stream, lanes, config);
+    std::vector<SimResult> sims =
+        simulateStreamFused(stream, lanes, config, plan);
 
     for (size_t k = 0; k < cells.size(); ++k) {
         CellOutput &out = outputs[cells[k]];
@@ -224,8 +193,7 @@ CellExecutor::runGroup(const std::vector<size_t> &cells,
                        std::vector<CellOutput> &outputs) const
 {
     if (cells.size() == 1) {
-        runGuarded(cells.front(), reqs[cells.front()],
-                   outputs[cells.front()]);
+        runGuarded(cells.front(), reqs, outputs);
         return;
     }
     SpanTracer &tracer = SpanTracer::global();
@@ -293,8 +261,37 @@ CellExecutor::runGroup(const std::vector<size_t> &cells,
     }
     for (const size_t i : cells) {
         outputs[i] = CellOutput{}; // drop the torn fused attempt
-        runGuarded(i, reqs[i], outputs[i]);
+        runGuarded(i, reqs, outputs);
     }
+}
+
+std::vector<std::vector<size_t>>
+planFuseGroups(const std::vector<size_t> &cells,
+               const std::vector<CellRequest> &reqs, size_t cap)
+{
+    // Everything in the key must be identical for lanes to legally
+    // share one history walk and one kernel shape.
+    using FuseKey = std::tuple<const WorkloadProfile *, int, unsigned,
+                               bool, bool, bool, bool, bool>;
+    std::vector<std::vector<size_t>> groups;
+    std::map<FuseKey, size_t> open; //!< key -> unfilled group
+    for (const size_t i : cells) {
+        const CellRequest &req = reqs[i];
+        const SimConfig &c = req.config;
+        const FuseKey key{req.profile, static_cast<int>(c.history),
+                          c.historyAge, c.assignBanks, c.profileTiming,
+                          c.forceGenericKernel, req.wantEvents,
+                          req.wantMetrics};
+        auto [it, inserted] = open.try_emplace(key, groups.size());
+        if (inserted) {
+            groups.emplace_back();
+        } else if (groups[it->second].size() >= cap) {
+            it->second = groups.size();
+            groups.emplace_back();
+        }
+        groups[it->second].push_back(i);
+    }
+    return groups;
 }
 
 } // namespace ev8

@@ -150,35 +150,35 @@ class CellExecutor
     /// @}
 
     /**
-     * The bare cell body: build the predictor, simulate the stream with
-     * isolated sinks, publish predictor metrics, buffer events. Throws
-     * on simulation failure; @p out may be torn then (callers discard).
-     */
-    void runCell(const CellRequest &req, CellOutput &out) const;
-
-    /**
-     * runCell under the failure-isolation contract: retry with backoff,
-     * journal on success, and convert an exhausted budget into
-     * out.failed instead of an escaping exception.
-     */
-    void runGuarded(size_t index, const CellRequest &req,
-                    CellOutput &out) const;
-
-    /**
      * One scheduled group: a single cell runs guarded; a fused group
      * tries the shared walk once and, if anything in it throws, falls
      * back to guarded per-cell execution. @p cells indexes into
      * @p reqs / @p outputs; all group members must share a benchmark
-     * and walk configuration (the caller's fuse key guarantees it).
+     * and walk configuration (planFuseGroups() guarantees it).
      */
     void runGroup(const std::vector<size_t> &cells,
                   const std::vector<CellRequest> &reqs,
                   std::vector<CellOutput> &outputs) const;
 
   private:
+    /**
+     * The bare body of a group: build each cell's predictor, run them
+     * all in one simulateStreamFused() walk with isolated sinks,
+     * publish predictor metrics, buffer events. A single cell is a
+     * group of one. Throws on simulation failure; the outputs may be
+     * torn then (callers discard).
+     */
     void runFused(const std::vector<size_t> &cells,
                   const std::vector<CellRequest> &reqs,
                   std::vector<CellOutput> &outputs) const;
+
+    /**
+     * Cell @p index run alone under the failure-isolation contract:
+     * retry with backoff, journal on success, and convert an exhausted
+     * budget into a failed output instead of an escaping exception.
+     */
+    void runGuarded(size_t index, const std::vector<CellRequest> &reqs,
+                    std::vector<CellOutput> &outputs) const;
 
     void backoff(unsigned attempt) const;
 
@@ -189,6 +189,20 @@ class CellExecutor
     unsigned retryMax_;
     unsigned retryBaseMs_;
 };
+
+/**
+ * The fuse planner: groups @p cells (indices into @p reqs) into lane
+ * groups for CellExecutor::runGroup. Cells share a group only when they
+ * share a benchmark profile and every walk field (history mode, history
+ * age, bank assignment, timing, generic-kernel forcing, and whether
+ * events and metrics are wanted). Groups keep the order of @p cells
+ * within each key, are listed in order of their first cell, and a fresh
+ * group opens when one reaches @p cap lanes. Batch grids and served
+ * sessions both plan with this function, so they fuse identically.
+ */
+std::vector<std::vector<size_t>> planFuseGroups(
+    const std::vector<size_t> &cells,
+    const std::vector<CellRequest> &reqs, size_t cap);
 
 } // namespace ev8
 

@@ -1,37 +1,39 @@
 /**
  * @file
- * The devirtualized simulation kernel.
+ * The simulation kernel: one range walker, one windowed runner and one
+ * flag dispatcher, shared by every simulation in the repository.
+ *
+ * One walk of a pre-decoded BlockStream drives N predictor lanes that
+ * share the history machinery. That sharing is sound because every
+ * register the simulator maintains -- ghist, lghist, the delayed view,
+ * the path registers and the bank recurrence -- evolves from trace
+ * outcomes only, never from predictor output: lanes with the same
+ * (history mode, history age, assignBanks) triple observe bit-identical
+ * BranchSnapshots, and a lane consuming fewer history bits simply masks
+ * the shared register down (a shorter history is a prefix of a longer
+ * one). Per-lane work is laid out struct-of-arrays: a dense
+ * predictor-pointer array and a dense mispredict-tally array, with the
+ * per-branch snapshot built once per branch instead of once per lane.
  *
  * One template instantiation per (concrete predictor type, history
- * mode, timing, event sink) combination, so that in the hot loop:
- *
- *  - predict()/update() are direct calls into the final predictor
- *    class, inlinable by the compiler, instead of two virtual
- *    dispatches per dynamic branch;
- *  - the `if (timed)` / `if (events)` decisions are made once at
- *    dispatch time and compile out of the per-branch path entirely
- *    (the duplicated runtime-`if (timed)` blocks of the old
- *    simulator.cc collapse into `if constexpr`).
- *
- * The kernel consumes a BlockStream (pre-decoded, cache-linear fetch
- * blocks) and is the single definition of the simulation semantics:
- * the virtual fallback path is the same template instantiated with
+ * mode, timing, event sink, Single) combination, so that in the hot
+ * loop predict()/update() are direct calls into the final predictor
+ * class and the timing/event decisions compile out of the per-branch
+ * path. The virtual fallback is the same template instantiated with
  * Predictor = ConditionalBranchPredictor, so specialized and generic
- * runs cannot drift apart. simulator.cc owns the dispatch; nothing
- * else should include this header.
+ * runs cannot drift apart.
  *
- * The fused kernel (runFusedStreamKernel) is the multi-configuration
- * sibling: one walk of the stream drives N predictor lanes that share
- * the history machinery. That sharing is sound because every register
- * the simulator maintains -- ghist, lghist, the delayed view, the path
- * registers and the bank recurrence -- evolves from trace outcomes
- * only, never from predictor output: lanes with the same (history
- * mode, history age, assignBanks) triple observe bit-identical
- * BranchSnapshots, and a lane consuming fewer history bits simply
- * masks the shared register down (a shorter history is a prefix of a
- * longer one). Per-lane work is laid out struct-of-arrays: a dense
- * predictor-pointer array and a dense mispredict-tally array, with the
- * per-branch snapshot built once per branch instead of once per cell.
+ * The Single shape is the one-lane walk (a per-cell simulation): the
+ * dispatcher picks it when nlanes == 1, and it calls predict()/update()
+ * on a hoisted predictor pointer with a local mispredict tally instead
+ * of building a FusedGroup. Multi-lane walks step the lanes through the
+ * strongest protocol the predictor class offers: a FusedGroup stepper,
+ * then predictAndUpdate(), then plain predict()/update().
+ *
+ * The exact walk is the windowed runner over one window covering the
+ * whole stream with no warmup; the sampled walk runs a SamplePlan's
+ * windows. simulator.cc owns the dispatch; nothing else should include
+ * this header.
  */
 
 #ifndef EV8_SIM_KERNEL_HH
@@ -60,14 +62,12 @@ namespace detail
 {
 
 /**
- * The shared history machinery of one stream walk, lifted out of the
- * kernels so a walk can span multiple [begin, end) block ranges: the
- * sampled-simulation layer runs a warmup range and a measured range
- * (or several contiguous windows) over one evolving state. The exact
- * path constructs a fresh state and walks [0, blocks()) -- bit-for-bit
- * the old single-call behaviour. The kernels copy the members into
- * locals at entry and write them back at exit, so the hot-loop codegen
- * is unchanged.
+ * The shared history machinery of one stream walk, kept outside the
+ * range walker so a walk can span multiple [begin, end) block ranges:
+ * a sampled walk runs a warmup range and a measured range (or several
+ * contiguous windows) over one evolving state. The walker copies the
+ * members into locals at entry and writes them back at exit, so the
+ * hot loop keeps them in registers.
  */
 struct KernelWalkState
 {
@@ -116,278 +116,6 @@ makeMispredictEvent(uint64_t branch_seq, const BranchSnapshot &snap,
 }
 
 /**
- * The simulation inner loop over a pre-decoded block stream.
- *
- * @tparam Predictor   concrete (final) predictor class, or
- *                     ConditionalBranchPredictor for the virtual
- *                     fallback path
- * @tparam LghistMode  config.history != HistoryMode::Ghist
- * @tparam Timed       config.profileTiming
- * @tparam HasEvents   config.events != nullptr
- *
- * Semantics are bit-for-bit those of the original per-trace loop:
- * immediate update, per-branch ghist, per-block (aged) lghist, the
- * last-three-blocks path registers, and the bank-number recurrence.
- */
-template <class Predictor, bool LghistMode, bool Timed, bool HasEvents>
-void
-runStreamKernelRange(const BlockStream &stream, Predictor &predictor,
-                     const SimConfig &config, BankScheduler &bank_sched,
-                     size_t begin_block, size_t end_block,
-                     KernelWalkState &walk, uint64_t branch_seq_base,
-                     SimResult &result)
-{
-    const bool assign_banks = config.assignBanks;
-
-    // Walk state lives in locals for the duration of the range (the
-    // compiler keeps them in registers exactly as when they were
-    // declared here) and is written back at exit so a later range
-    // continues where this one stopped.
-    HistoryRegister ghist = walk.ghist;
-    LghistTracker lghist = walk.lghist;
-    DelayedHistory delayed = walk.delayed;
-    uint64_t path_z = walk.pathZ, path_y = walk.pathY,
-             path_x = walk.pathX;
-
-    // Event records carry the branch's absolute sequence number in the
-    // whole stream; for the exact walk the base is 0 and this equals
-    // the running condBranches tally.
-    uint64_t branch_seq = branch_seq_base;
-
-    BranchSnapshot snap;
-    const size_t nblocks = end_block;
-    for (size_t b = begin_block; b < nblocks; ++b) {
-        ++result.fetchBlocks;
-        const uint32_t first = stream.branchBegin(b);
-        const uint32_t last = stream.branchBegin(b + 1);
-        const unsigned nbr = last - first;
-        ++result.branchesPerBlock[nbr < result.branchesPerBlock.size()
-                                      ? nbr
-                                      : result.branchesPerBlock.size()
-                                            - 1];
-
-        const uint64_t block_addr = stream.blockAddr(b);
-        snap.blockAddr = block_addr;
-        snap.hist.pathZ = path_z;
-        snap.hist.pathY = path_y;
-        snap.hist.pathX = path_x;
-        if (assign_banks)
-            snap.bank =
-                static_cast<uint8_t>(bank_sched.assign(block_addr));
-
-        // The index history for every branch of this block: the aged
-        // lghist view, or per-branch ghist filled in below.
-        const uint64_t block_hist = delayed.view();
-
-        for (uint32_t j = first; j < last; ++j) {
-            const uint8_t raw = stream.branchRaw(j);
-            const bool br_taken = (raw & 1) != 0;
-            snap.pc = block_addr + uint64_t(raw >> 1) * kInstrBytes;
-            snap.hist.ghist = ghist.raw();
-            snap.hist.indexHist = LghistMode ? block_hist : ghist.raw();
-
-            bool predicted;
-            if constexpr (Timed) {
-                ScopedTimer t(result.timing.lookup, SpanPhase::SimLookup);
-                predicted = predictor.predict(snap);
-            } else {
-                predicted = predictor.predict(snap);
-            }
-            result.stats.record(predicted, br_taken);
-
-            if constexpr (HasEvents) {
-                if (predicted != br_taken) {
-                    config.events->onMispredict(makeMispredictEvent(
-                        branch_seq, snap, br_taken, predicted,
-                        predictor.lastVotes()));
-                }
-            }
-
-            if constexpr (Timed) {
-                ScopedTimer t(result.timing.update, SpanPhase::SimUpdate);
-                predictor.update(snap, br_taken, predicted);
-            } else {
-                predictor.update(snap, br_taken, predicted);
-            }
-
-            ghist.push(br_taken);
-            ++branch_seq;
-            ++result.condBranches;
-        }
-
-        const auto advance_history = [&] {
-            if (nbr > 0) {
-                const uint8_t raw = stream.branchRaw(last - 1);
-                lghist.onBranchBlock(
-                    block_addr + uint64_t(raw >> 1) * kInstrBytes,
-                    (raw & 1) != 0);
-                ++result.lghistBits;
-            }
-            delayed.advance(lghist.value());
-        };
-        if constexpr (Timed) {
-            ScopedTimer t(result.timing.history, SpanPhase::SimHistory);
-            advance_history();
-        } else {
-            advance_history();
-        }
-
-        path_x = path_y;
-        path_y = path_z;
-        path_z = block_addr;
-    }
-
-    walk.ghist = ghist;
-    walk.lghist = lghist;
-    walk.delayed = delayed;
-    walk.pathZ = path_z;
-    walk.pathY = path_y;
-    walk.pathX = path_x;
-}
-
-/** The exact (whole-stream) walk: fresh state, every block. */
-template <class Predictor, bool LghistMode, bool Timed, bool HasEvents>
-SimResult
-runStreamKernel(const BlockStream &stream, Predictor &predictor,
-                const SimConfig &config, BankScheduler &bank_sched)
-{
-    SimResult result;
-    result.stats.setInstructions(stream.instructions());
-    KernelWalkState walk(config.history == HistoryMode::LghistPath,
-                         config.historyAge);
-    runStreamKernelRange<Predictor, LghistMode, Timed, HasEvents>(
-        stream, predictor, config, bank_sched, 0, stream.blocks(), walk,
-        0, result);
-    return result;
-}
-
-/**
- * The sampled walk: the plan's windows in stream order, each primed by
- * a warmup range (stats gated off, events and timers disabled) when
- * the walk is not already contiguous with the previous window. The
- * predictor is never reset between windows -- its table state carries
- * over, a second warming layer on top of the explicit prefix -- while
- * the shared history state resets at each discontinuity and is primed
- * by the warmup range. Per-window measured tallies land in @p tallies
- * for the stratified extrapolation.
- */
-template <class Predictor, bool LghistMode, bool Timed, bool HasEvents>
-SimResult
-runSampledStreamKernel(const BlockStream &stream, Predictor &predictor,
-                       const SimConfig &config,
-                       BankScheduler &bank_sched, const SamplePlan &plan,
-                       std::vector<SampledWindowTally> &tallies)
-{
-    const bool lghist_path = config.history == HistoryMode::LghistPath;
-    const bool want_stats = config.metrics != nullptr;
-
-    SimResult result;
-    SimResult warm_sink;
-    KernelWalkState walk(lghist_path, config.historyAge);
-    uint64_t next_block = ~uint64_t{0};
-    for (const SampledWindow &w : plan.windows) {
-        if (w.blockBegin != next_block) {
-            walk = KernelWalkState(lghist_path, config.historyAge);
-            bank_sched = BankScheduler();
-            if (w.warmupBlockBegin < w.blockBegin) {
-                predictor.enableStats(false);
-                runStreamKernelRange<Predictor, LghistMode, false,
-                                     false>(
-                    stream, predictor, config, bank_sched,
-                    static_cast<size_t>(w.warmupBlockBegin),
-                    static_cast<size_t>(w.blockBegin), walk, 0,
-                    warm_sink);
-                predictor.enableStats(want_stats);
-            }
-        }
-        const uint64_t misp0 = result.stats.mispredictions();
-        runStreamKernelRange<Predictor, LghistMode, Timed, HasEvents>(
-            stream, predictor, config, bank_sched,
-            static_cast<size_t>(w.blockBegin),
-            static_cast<size_t>(w.blockEnd), walk, w.branchSeqBase,
-            result);
-        tallies.push_back(
-            {w.phaseId, w.branches, w.instrs,
-             result.stats.mispredictions() - misp0});
-        next_block = w.blockEnd;
-    }
-    return result;
-}
-
-/** Resolves the runtime flags to the matching kernel instantiation. */
-template <class Predictor>
-SimResult
-dispatchStreamKernel(const BlockStream &stream, Predictor &predictor,
-                     const SimConfig &config, BankScheduler &bank_sched)
-{
-    const bool lg = config.history != HistoryMode::Ghist;
-    const bool timed = config.profileTiming;
-    const bool events = config.events != nullptr;
-
-    auto run = [&](auto lg_c, auto timed_c, auto events_c) {
-        return runStreamKernel<Predictor, decltype(lg_c)::value,
-                               decltype(timed_c)::value,
-                               decltype(events_c)::value>(
-            stream, predictor, config, bank_sched);
-    };
-    using F = std::false_type;
-    using T = std::true_type;
-    if (lg) {
-        if (timed)
-            return events ? run(T{}, T{}, T{}) : run(T{}, T{}, F{});
-        return events ? run(T{}, F{}, T{}) : run(T{}, F{}, F{});
-    }
-    if (timed)
-        return events ? run(F{}, T{}, T{}) : run(F{}, T{}, F{});
-    return events ? run(F{}, F{}, T{}) : run(F{}, F{}, F{});
-}
-
-/** Resolves the runtime flags for the sampled per-cell walk. */
-template <class Predictor>
-SimResult
-dispatchSampledStreamKernel(const BlockStream &stream,
-                            Predictor &predictor,
-                            const SimConfig &config,
-                            BankScheduler &bank_sched,
-                            const SamplePlan &plan,
-                            std::vector<SampledWindowTally> &tallies)
-{
-    const bool lg = config.history != HistoryMode::Ghist;
-    const bool timed = config.profileTiming;
-    const bool events = config.events != nullptr;
-
-    auto run = [&](auto lg_c, auto timed_c, auto events_c) {
-        return runSampledStreamKernel<Predictor, decltype(lg_c)::value,
-                                      decltype(timed_c)::value,
-                                      decltype(events_c)::value>(
-            stream, predictor, config, bank_sched, plan, tallies);
-    };
-    using F = std::false_type;
-    using T = std::true_type;
-    if (lg) {
-        if (timed)
-            return events ? run(T{}, T{}, T{}) : run(T{}, T{}, F{});
-        return events ? run(T{}, F{}, T{}) : run(T{}, F{}, F{});
-    }
-    if (timed)
-        return events ? run(F{}, T{}, T{}) : run(F{}, T{}, F{});
-    return events ? run(F{}, F{}, T{}) : run(F{}, F{}, F{});
-}
-
-/**
- * Two-phase lane entry point: the predictor exposes its (pure) table
- * index computation separately from the read-modify-write, so the
- * fused loop can compute every lane's index back-to-back (unrolled,
- * no intervening table traffic) and then stream the counter updates.
- */
-template <class P>
-concept FusedLaneIndexed = requires(P p, const P cp,
-                                    const BranchSnapshot &snap) {
-    { cp.laneIndex(snap) } -> std::convertible_to<size_t>;
-    { p.applyAt(size_t{}, true) } -> std::same_as<bool>;
-};
-
-/**
  * Single-call lane entry point: predict and train in one step, letting
  * the predictor reuse lookup state (indices, votes) it would otherwise
  * recompute or re-cache between the two virtual calls.
@@ -424,32 +152,16 @@ struct FusedLaneState
 
     /**
      * Whether this lane's predictor wants internal stats on (metrics
-     * attached). Only the sampled walk consults it -- it must gate
-     * stats off during warmup ranges and back on per lane afterwards;
-     * the exact walk sets stats once up front in simulateStreamFused.
+     * attached). The windowed runner gates stats off for warmup ranges
+     * and restores this afterwards.
      */
     bool statsWanted = false;
 };
 
 /**
- * The fused inner loop: one pass over @p stream drives @p nlanes
- * predictor lanes under one shared history configuration.
- *
- * Template parameters mirror runStreamKernel. HasEvents means "some
- * lane has an event sink"; lanes with a null sink inside an events
- * instantiation just skip emission. Each lane's SimResult ends up
- * bit-identical to what a per-cell runStreamKernel call would have
- * produced for that (predictor, config) pair: the walk tallies
- * (fetchBlocks, condBranches, lghistBits, branchesPerBlock) are
- * computed once and copied into every lane, per-lane mispredictions
- * are tallied SoA in the fast path, and the per-block history advance
- * is timed once and merged into every lane with the same call count a
- * per-cell run would record.
- */
-/**
- * Throwing lane-set validation shared by the fused entry points: a
- * malformed lane set must be a recoverable cell failure (caught,
- * retried, reported) in release builds too, not silent UB.
+ * Throwing lane-set validation for the windowed runner: a malformed
+ * lane set must be a recoverable cell failure (caught, retried,
+ * reported) in release builds too, not silent UB.
  */
 template <class Predictor>
 void
@@ -470,7 +182,28 @@ checkFusedLanes(const FusedLaneState<Predictor> *lanes, size_t nlanes)
     }
 }
 
-template <class Predictor, bool LghistMode, bool Timed, bool HasEvents>
+/**
+ * The range walker: blocks [begin_block, end_block) of @p stream drive
+ * @p nlanes predictor lanes under one shared history configuration.
+ *
+ * @tparam Predictor   concrete (final) predictor class, or
+ *                     ConditionalBranchPredictor for the virtual
+ *                     fallback path
+ * @tparam LghistMode  config.history != HistoryMode::Ghist
+ * @tparam Timed       config.profileTiming
+ * @tparam HasEvents   some lane has an event sink (lanes with a null
+ *                     sink skip emission)
+ * @tparam Single      nlanes == 1
+ *
+ * Semantics: immediate update, per-branch ghist, per-block (aged)
+ * lghist, the last-three-blocks path registers, and the bank-number
+ * recurrence. The walk tallies (fetchBlocks, condBranches, lghistBits,
+ * branchesPerBlock) are computed once and added into every lane's
+ * result; the per-block history advance is timed once and merged into
+ * every lane with the call count a one-lane walk records.
+ */
+template <class Predictor, bool LghistMode, bool Timed, bool HasEvents,
+          bool Single>
 void
 runFusedStreamKernelRange(const BlockStream &stream,
                           FusedLaneState<Predictor> *lanes,
@@ -480,17 +213,23 @@ runFusedStreamKernelRange(const BlockStream &stream,
                           uint64_t branch_seq_base)
 {
     // SoA hot state: dense predictor pointers and mispredict tallies.
+    // The Single shape fixes the lane count at compile time so every
+    // lane loop below collapses to straight-line code.
+    const size_t n = Single ? 1 : nlanes;
     Predictor *preds[kMaxFusedLanes];
     uint64_t misp[kMaxFusedLanes] = {};
-    for (size_t l = 0; l < nlanes; ++l)
+    for (size_t l = 0; l < n; ++l)
         preds[l] = lanes[l].predictor;
+    Predictor *const single = lanes[0].predictor;
+    uint64_t single_misp = 0;
 
     // Group stepper, built once per walk; only the untimed, event-free
-    // instantiations of group-steppable predictors ever use it (the
-    // observed paths need per-lane calls for timers and events).
+    // multi-lane instantiations of group-steppable predictors use it
+    // (the observed paths need per-lane calls for timers and events).
     auto group = [&] {
-        if constexpr (!(Timed || HasEvents) && FusedGroupStepped<Predictor>)
-            return typename Predictor::FusedGroup(preds, nlanes);
+        if constexpr (!(Timed || HasEvents || Single)
+                      && FusedGroupStepped<Predictor>)
+            return typename Predictor::FusedGroup(preds, n);
         else
             return 0;
     }();
@@ -504,15 +243,16 @@ runFusedStreamKernelRange(const BlockStream &stream,
     uint64_t path_z = walk.pathZ, path_y = walk.pathY,
              path_x = walk.pathX;
 
-    // Walk tallies, computed once and fanned out to every lane.
+    // Walk tallies, computed once and fanned out to every lane. Event
+    // records carry the branch's absolute sequence number in the whole
+    // stream, so a window starts counting at its base.
     uint64_t fetch_blocks = 0, cond_branches = 0, lghist_bits = 0;
     uint64_t branch_seq = branch_seq_base;
     std::array<uint64_t, 9> per_block{};
     TimingStat hist_time;
 
     BranchSnapshot snap;
-    const size_t nblocks = end_block;
-    for (size_t b = begin_block; b < nblocks; ++b) {
+    for (size_t b = begin_block; b < end_block; ++b) {
         ++fetch_blocks;
         const uint32_t first = stream.branchBegin(b);
         const uint32_t last = stream.branchBegin(b + 1);
@@ -528,6 +268,8 @@ runFusedStreamKernelRange(const BlockStream &stream,
             snap.bank =
                 static_cast<uint8_t>(bank_sched.assign(block_addr));
 
+        // The index history for every branch of this block: the aged
+        // lghist view, or per-branch ghist filled in below.
         const uint64_t block_hist = delayed.view();
 
         for (uint32_t j = first; j < last; ++j) {
@@ -539,9 +281,9 @@ runFusedStreamKernelRange(const BlockStream &stream,
 
             if constexpr (Timed || HasEvents) {
                 // Observed path: per-lane timers / event emission need
-                // the split predict()/update() calls of the per-cell
-                // kernel, with identical call counts per lane.
-                for (size_t l = 0; l < nlanes; ++l) {
+                // the split predict()/update() calls, with identical
+                // call counts per lane.
+                for (size_t l = 0; l < n; ++l) {
                     bool predicted;
                     if constexpr (Timed) {
                         ScopedTimer t(lanes[l].result->timing.lookup,
@@ -561,29 +303,24 @@ runFusedStreamKernelRange(const BlockStream &stream,
                     }
                     if constexpr (Timed) {
                         ScopedTimer t(lanes[l].result->timing.update,
-                                  SpanPhase::SimUpdate);
+                                      SpanPhase::SimUpdate);
                         preds[l]->update(snap, br_taken, predicted);
                     } else {
                         preds[l]->update(snap, br_taken, predicted);
                     }
                 }
+            } else if constexpr (Single) {
+                const bool predicted = single->predict(snap);
+                single->update(snap, br_taken, predicted);
+                single_misp += predicted != br_taken;
             } else if constexpr (FusedGroupStepped<Predictor>) {
                 group.step(snap, br_taken, misp);
-            } else if constexpr (FusedLaneIndexed<Predictor>) {
-                // Unrolled multi-lane index computation, then the
-                // read-modify-write sweep over the lane tables.
-                size_t idx[kMaxFusedLanes];
-                for (size_t l = 0; l < nlanes; ++l)
-                    idx[l] = preds[l]->laneIndex(snap);
-                for (size_t l = 0; l < nlanes; ++l)
-                    misp[l] +=
-                        preds[l]->applyAt(idx[l], br_taken) != br_taken;
             } else if constexpr (FusedSteppable<Predictor>) {
-                for (size_t l = 0; l < nlanes; ++l)
+                for (size_t l = 0; l < n; ++l)
                     misp[l] += preds[l]->predictAndUpdate(snap, br_taken)
                         != br_taken;
             } else {
-                for (size_t l = 0; l < nlanes; ++l) {
+                for (size_t l = 0; l < n; ++l) {
                     const bool predicted = preds[l]->predict(snap);
                     preds[l]->update(snap, br_taken, predicted);
                     misp[l] += predicted != br_taken;
@@ -607,8 +344,8 @@ runFusedStreamKernelRange(const BlockStream &stream,
         };
         if constexpr (Timed) {
             // Timed once per block; merged per lane below so every
-            // lane reports the same history call count as a per-cell
-            // run (the shared advance serves all lanes at once).
+            // lane reports the same history call count (the shared
+            // advance serves all lanes at once).
             ScopedTimer t(hist_time, SpanPhase::SimHistory);
             advance_history();
         } else {
@@ -627,10 +364,11 @@ runFusedStreamKernelRange(const BlockStream &stream,
     walk.pathY = path_y;
     walk.pathX = path_x;
 
-    // Accumulating fan-out: a whole-stream walk starts from zeroed
-    // results (so += here equals the old overwrite), and the sampled
-    // walk adds each measured window into the same lane results.
-    for (size_t l = 0; l < nlanes; ++l) {
+    // Accumulating fan-out: each measured window adds into the same
+    // lane results.
+    if constexpr (Single)
+        misp[0] = single_misp;
+    for (size_t l = 0; l < n; ++l) {
         SimResult &r = *lanes[l].result;
         if constexpr (!(Timed || HasEvents))
             r.stats.tally(cond_branches, misp[l]);
@@ -644,39 +382,27 @@ runFusedStreamKernelRange(const BlockStream &stream,
     }
 }
 
-/** The exact (whole-stream) fused walk: fresh state, every block. */
-template <class Predictor, bool LghistMode, bool Timed, bool HasEvents>
-void
-runFusedStreamKernel(const BlockStream &stream,
-                     FusedLaneState<Predictor> *lanes, size_t nlanes,
-                     const SimConfig &config, BankScheduler &bank_sched)
-{
-    checkFusedLanes(lanes, nlanes);
-    for (size_t l = 0; l < nlanes; ++l)
-        lanes[l].result->stats.setInstructions(stream.instructions());
-    KernelWalkState walk(config.history == HistoryMode::LghistPath,
-                         config.historyAge);
-    runFusedStreamKernelRange<Predictor, LghistMode, Timed, HasEvents>(
-        stream, lanes, nlanes, config, bank_sched, 0, stream.blocks(),
-        walk, 0);
-}
-
 /**
- * The sampled fused walk: the plan's windows in stream order over one
- * shared walk state, all lanes stepped together. Warmup ranges run on
- * the untimed, event-free instantiation into throwaway results with
- * per-lane stats gated off, so the fused group steppers (and the SIMD
- * lane stepping under them) serve warmup and measurement unchanged.
- * Per-window, per-lane measured tallies land in @p tallies
- * (tallies[lane][window]) for the stratified extrapolation.
+ * The windowed runner: @p windows in stream order over one shared walk
+ * state, all lanes stepped together. A window that does not continue
+ * the previous one resets the history state and the bank recurrence
+ * and is primed by its warmup range [warmupBlockBegin, blockBegin),
+ * which runs untimed and event-free into throwaway results with
+ * per-lane stats gated off. The predictors are never reset between
+ * windows: their table state carries over. Each window's per-lane
+ * measured mispredictions land in @p tallies (tallies[lane][window])
+ * for the stratified extrapolation.
+ *
+ * The exact walk is one window [0, blocks) with no warmup.
  */
-template <class Predictor, bool LghistMode, bool Timed, bool HasEvents>
+template <class Predictor, bool LghistMode, bool Timed, bool HasEvents,
+          bool Single>
 void
-runSampledFusedKernel(
-    const BlockStream &stream, FusedLaneState<Predictor> *lanes,
-    size_t nlanes, const SimConfig &config, BankScheduler &bank_sched,
-    const SamplePlan &plan,
-    std::vector<std::vector<SampledWindowTally>> &tallies)
+runWindowedKernel(const BlockStream &stream,
+                  FusedLaneState<Predictor> *lanes, size_t nlanes,
+                  const SimConfig &config, BankScheduler &bank_sched,
+                  const std::vector<SampledWindow> &windows,
+                  std::vector<std::vector<SampledWindowTally>> &tallies)
 {
     checkFusedLanes(lanes, nlanes);
     tallies.assign(nlanes, {});
@@ -693,7 +419,7 @@ runSampledFusedKernel(
 
     KernelWalkState walk(lghist_path, config.historyAge);
     uint64_t next_block = ~uint64_t{0};
-    for (const SampledWindow &w : plan.windows) {
+    for (const SampledWindow &w : windows) {
         if (w.blockBegin != next_block) {
             walk = KernelWalkState(lghist_path, config.historyAge);
             bank_sched = BankScheduler();
@@ -701,7 +427,7 @@ runSampledFusedKernel(
                 for (size_t l = 0; l < nlanes; ++l)
                     lanes[l].predictor->enableStats(false);
                 runFusedStreamKernelRange<Predictor, LghistMode, false,
-                                          false>(
+                                          false, Single>(
                     stream, warm_lanes.data(), nlanes, config,
                     bank_sched,
                     static_cast<size_t>(w.warmupBlockBegin),
@@ -715,7 +441,7 @@ runSampledFusedKernel(
         for (size_t l = 0; l < nlanes; ++l)
             misp0[l] = lanes[l].result->stats.mispredictions();
         runFusedStreamKernelRange<Predictor, LghistMode, Timed,
-                                  HasEvents>(
+                                  HasEvents, Single>(
             stream, lanes, nlanes, config, bank_sched,
             static_cast<size_t>(w.blockBegin),
             static_cast<size_t>(w.blockEnd), walk, w.branchSeqBase);
@@ -728,68 +454,50 @@ runSampledFusedKernel(
     }
 }
 
-/** Resolves the runtime flags to the matching fused instantiation. */
+/** Calls @p f with one std::bool_constant per runtime flag, in order. */
+template <class F>
+void
+withFlags(F &&f)
+{
+    f();
+}
+
+template <class F, class... Flags>
+void
+withFlags(F &&f, bool flag, Flags... rest)
+{
+    if (flag) {
+        withFlags([&](auto... c) { f(std::true_type{}, c...); },
+                  rest...);
+    } else {
+        withFlags([&](auto... c) { f(std::false_type{}, c...); },
+                  rest...);
+    }
+}
+
+/** Resolves the runtime flags to the matching kernel instantiation. */
 template <class Predictor>
 void
 dispatchFusedKernel(const BlockStream &stream,
                     FusedLaneState<Predictor> *lanes, size_t nlanes,
-                    const SimConfig &config, BankScheduler &bank_sched)
+                    const SimConfig &config, BankScheduler &bank_sched,
+                    const std::vector<SampledWindow> &windows,
+                    std::vector<std::vector<SampledWindowTally>> &tallies)
 {
-    const bool lg = config.history != HistoryMode::Ghist;
-    const bool timed = config.profileTiming;
     bool events = false;
     for (size_t l = 0; l < nlanes; ++l)
         events |= lanes[l].events != nullptr;
 
-    auto run = [&](auto lg_c, auto timed_c, auto events_c) {
-        runFusedStreamKernel<Predictor, decltype(lg_c)::value,
-                             decltype(timed_c)::value,
-                             decltype(events_c)::value>(
-            stream, lanes, nlanes, config, bank_sched);
-    };
-    using F = std::false_type;
-    using T = std::true_type;
-    if (lg) {
-        if (timed)
-            return events ? run(T{}, T{}, T{}) : run(T{}, T{}, F{});
-        return events ? run(T{}, F{}, T{}) : run(T{}, F{}, F{});
-    }
-    if (timed)
-        return events ? run(F{}, T{}, T{}) : run(F{}, T{}, F{});
-    return events ? run(F{}, F{}, T{}) : run(F{}, F{}, F{});
-}
-
-/** Resolves the runtime flags for the sampled fused walk. */
-template <class Predictor>
-void
-dispatchSampledFusedKernel(
-    const BlockStream &stream, FusedLaneState<Predictor> *lanes,
-    size_t nlanes, const SimConfig &config, BankScheduler &bank_sched,
-    const SamplePlan &plan,
-    std::vector<std::vector<SampledWindowTally>> &tallies)
-{
-    const bool lg = config.history != HistoryMode::Ghist;
-    const bool timed = config.profileTiming;
-    bool events = false;
-    for (size_t l = 0; l < nlanes; ++l)
-        events |= lanes[l].events != nullptr;
-
-    auto run = [&](auto lg_c, auto timed_c, auto events_c) {
-        runSampledFusedKernel<Predictor, decltype(lg_c)::value,
-                              decltype(timed_c)::value,
-                              decltype(events_c)::value>(
-            stream, lanes, nlanes, config, bank_sched, plan, tallies);
-    };
-    using F = std::false_type;
-    using T = std::true_type;
-    if (lg) {
-        if (timed)
-            return events ? run(T{}, T{}, T{}) : run(T{}, T{}, F{});
-        return events ? run(T{}, F{}, T{}) : run(T{}, F{}, F{});
-    }
-    if (timed)
-        return events ? run(F{}, T{}, T{}) : run(F{}, T{}, F{});
-    return events ? run(F{}, F{}, T{}) : run(F{}, F{}, F{});
+    withFlags(
+        [&](auto lg, auto timed, auto ev, auto single) {
+            runWindowedKernel<Predictor, decltype(lg)::value,
+                              decltype(timed)::value, decltype(ev)::value,
+                              decltype(single)::value>(
+                stream, lanes, nlanes, config, bank_sched, windows,
+                tallies);
+        },
+        config.history != HistoryMode::Ghist, config.profileTiming,
+        events, nlanes == 1);
 }
 
 } // namespace detail

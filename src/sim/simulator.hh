@@ -12,6 +12,13 @@
  * or without the path bit), the N-fetch-blocks-old delayed view, the
  * last-three-blocks path registers, and the bank-number recurrence --
  * then hands each predictor a BranchSnapshot with everything filled in.
+ *
+ * Every simulation goes through one entry point, simulateStreamFused():
+ * N predictor lanes over one walk of a pre-decoded stream, exact or
+ * sampled. simulateStream() and simulateTrace() are one-lane wrappers;
+ * a one-lane walk runs the kernel's Single shape, a compile-time
+ * specialization that calls predict()/update() directly instead of a
+ * multi-lane group stepper (sim/kernel.hh).
  */
 
 #ifndef EV8_SIM_SIMULATOR_HH
@@ -156,13 +163,10 @@ SimResult simulateTrace(const Trace &trace,
                         const SimConfig &config);
 
 /**
- * Runs @p predictor over a pre-decoded block stream -- the hot path of
- * the experiment engine. Known predictor types are dispatched to a
- * kernel specialized on the concrete class and on the config's static
- * flags (history mode, timing, event sink); everything else takes the
- * same kernel instantiated with virtual dispatch. Results, metrics and
- * emitted events are identical on both paths, and identical to
- * simulateTrace() over the trace the stream was decoded from.
+ * Runs @p predictor over a pre-decoded block stream: the one-lane
+ * simulateStreamFused() walk, with config.metrics and config.events as
+ * the lane's sinks. Results, metrics and emitted events are identical
+ * to simulateTrace() over the trace the stream was decoded from.
  */
 SimResult simulateStream(const BlockStream &stream,
                          ConditionalBranchPredictor &predictor,
@@ -185,42 +189,30 @@ struct FusedLane
 };
 
 /**
- * Runs every lane predictor over @p stream in ONE pass: shared block
- * decode, branch iteration and history machinery, per-lane predictor
- * work. All lanes observe the history configuration of @p config
- * (whose metrics/events members are ignored -- sinks are per lane).
+ * The simulation entry point: runs every lane predictor over @p stream
+ * in ONE pass -- shared block decode, branch iteration and history
+ * machinery, per-lane predictor work. All lanes observe the history
+ * configuration of @p config (whose metrics/events members are ignored
+ * -- sinks are per lane).
  *
- * Lanes are internally partitioned by concrete predictor type so each
- * partition runs the kernel devirtualized on that type (a mixed-type
- * lane set costs one stream walk per distinct type, never more than
- * the per-cell path's one walk per lane); unknown types share one
- * virtual-dispatch walk. Every lane's SimResult, published metrics and
- * emitted events are bit-identical to a simulateStream() call for that
- * (predictor, config) pair.
+ * Lanes are partitioned by concrete predictor type so each partition
+ * runs the kernel devirtualized on that type (a mixed-type lane set
+ * costs one stream walk per distinct type); unknown types, and every
+ * lane under SimConfig::forceGenericKernel or EV8_GENERIC_KERNEL=1,
+ * share one virtual-dispatch walk. A partition of one lane takes the
+ * kernel's Single shape (sim/kernel.hh). Every lane's SimResult,
+ * published metrics and emitted events are independent of how the
+ * lanes were grouped.
+ *
+ * With @p plan set, only the plan's windows run (each primed by its
+ * warmup prefix, stats gated off during warmup) and each lane's stats
+ * are extrapolated per phase, with a stratified 95% confidence interval
+ * in SimResult::sampled. Without it the walk is exact and
+ * SimResult::sampled stays inactive.
  */
 std::vector<SimResult> simulateStreamFused(
     const BlockStream &stream, const std::vector<FusedLane> &lanes,
-    const SimConfig &config);
-
-/**
- * Sampled sibling of simulateStream(): runs only @p plan's windows
- * (each primed by its warmup prefix, stats gated off during warmup)
- * and extrapolates whole-trace stats per phase, with a stratified 95%
- * confidence interval in SimResult::sampled. Same devirtualized
- * dispatch as the exact path.
- */
-SimResult simulateStreamSampled(const BlockStream &stream,
-                                ConditionalBranchPredictor &predictor,
-                                const SimConfig &config,
-                                const SamplePlan &plan);
-
-/**
- * Sampled sibling of simulateStreamFused(): one windowed walk drives
- * every lane, group steppers and SIMD lane stepping unchanged.
- */
-std::vector<SimResult> simulateStreamFusedSampled(
-    const BlockStream &stream, const std::vector<FusedLane> &lanes,
-    const SimConfig &config, const SamplePlan &plan);
+    const SimConfig &config, const SamplePlan *plan = nullptr);
 
 } // namespace ev8
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Scoped environment-variable override for tests that exercise the
- * EV8_* runtime knobs (EV8_FUSED, EV8_FUSED_LANES, EV8_SIMD, ...).
+ * EV8_* runtime knobs (EV8_FUSED_LANES, EV8_SIMD, EV8_GENERIC_KERNEL, ...).
  */
 
 #ifndef EV8_TESTS_SCOPED_ENV_HH

@@ -18,6 +18,7 @@
 #include <string>
 
 #include "artifact_test_util.hh"
+#include "temp_dir.hh"
 #include "obs/json.hh"
 
 namespace ev8
@@ -46,7 +47,8 @@ TEST(BenchArtifacts, Fig5EmitsValidSchemaWithCountersAndTiming)
     if (!std::ifstream(binary).good())
         GTEST_SKIP() << "bench binary not built: " << binary;
 
-    const std::string dir = ::testing::TempDir();
+    const TempDir tmp;
+    const std::string dir = tmp.path() + "/";
     const std::string json_path = dir + "ev8_fig5_artifact.json";
     const std::string csv_path = dir + "ev8_fig5_artifact.csv";
     const std::string events_path = dir + "ev8_fig5_artifact.jsonl";
@@ -140,7 +142,8 @@ TEST(BenchArtifacts, ParallelRunsAreByteIdenticalToSerial)
 
     // --no-timing keeps wall-clock noise out of the JSON; everything
     // else the binary emits must not depend on the worker count.
-    const std::string dir = ::testing::TempDir();
+    const TempDir tmp;
+    const std::string dir = tmp.path() + "/";
     auto artifacts = [&](const std::string &tag, unsigned jobs) {
         const std::string base = dir + "ev8_fig6_det_" + tag;
         const std::string cmd =
@@ -183,7 +186,8 @@ TEST(BenchArtifacts, GenericKernelIsByteIdenticalToDevirtualized)
     // The devirtualized kernel specializations must be a pure speed
     // change: forcing the virtual-dispatch instantiation through
     // EV8_GENERIC_KERNEL has to reproduce every artifact byte.
-    const std::string dir = ::testing::TempDir();
+    const TempDir tmp;
+    const std::string dir = tmp.path() + "/";
     auto artifacts = [&](const std::string &tag, const char *env) {
         const std::string base = dir + "ev8_fig6_kern_" + tag;
         const std::string cmd =
@@ -222,10 +226,11 @@ TEST(BenchArtifacts, FusedRunsAreByteIdenticalToPerCell)
     if (!std::ifstream(binary).good())
         GTEST_SKIP() << "bench binary not built: " << binary;
 
-    // Grid fusion is a pure speed change: EV8_FUSED=0 (one walk per
-    // cell) and EV8_FUSED=1 (one walk per fused lane group) must emit
-    // identical artifact bytes at any worker count.
-    const std::string dir = ::testing::TempDir();
+    // Grid fusion is a pure speed change: EV8_FUSED_LANES=1 (one walk
+    // per cell) and the default lane cap (one walk per fused lane
+    // group) must emit identical artifact bytes at any worker count.
+    const TempDir tmp;
+    const std::string dir = tmp.path() + "/";
     auto artifacts = [&](const std::string &tag, const char *env,
                          unsigned jobs) {
         const std::string base = dir + "ev8_fig6_fused_" + tag;
@@ -243,11 +248,10 @@ TEST(BenchArtifacts, FusedRunsAreByteIdenticalToPerCell)
                                           slurp(base + ".jsonl")};
     };
 
-    auto percell = artifacts("percell_j1", "EV8_FUSED=0 ", 1);
-    auto fused_j1 = artifacts("fused_j1", "EV8_FUSED=1 ", 1);
-    auto fused_j4 = artifacts("fused_j4", "EV8_FUSED=1 ", 4);
-    auto narrow =
-        artifacts("fused_l2", "EV8_FUSED=1 EV8_FUSED_LANES=2 ", 1);
+    auto percell = artifacts("percell_j1", "EV8_FUSED_LANES=1 ", 1);
+    auto fused_j1 = artifacts("fused_j1", "", 1);
+    auto fused_j4 = artifacts("fused_j4", "", 4);
+    auto narrow = artifacts("fused_l2", "EV8_FUSED_LANES=2 ", 1);
     ASSERT_FALSE(percell[0].empty());
     ASSERT_FALSE(percell[2].empty()) << "no events sampled";
     for (auto *run : {&percell, &fused_j1, &fused_j4, &narrow})
@@ -293,7 +297,8 @@ TEST(BenchArtifacts, WarmStreamCacheIsByteIdenticalToFreshDecode)
     if (!std::ifstream(binary).good())
         GTEST_SKIP() << "bench binary not built: " << binary;
 
-    const std::string dir = ::testing::TempDir();
+    const TempDir tmp;
+    const std::string dir = tmp.path() + "/";
     const std::string cache_dir = dir + "ev8_stream_cache_e2e";
     std::system(("rm -rf " + cache_dir).c_str());
 

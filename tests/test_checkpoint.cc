@@ -11,7 +11,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -26,12 +25,12 @@
 #include "sim/experiment.hh"
 #include "sim/suite_runner.hh"
 
+#include "temp_dir.hh"
+
 namespace ev8
 {
 namespace
 {
-
-namespace fs = std::filesystem;
 
 constexpr uint64_t kTinyScale = 3000;
 
@@ -63,28 +62,6 @@ class ScopedEnv
     std::string name_;
     std::string saved_;
     bool hadValue_ = true;
-};
-
-/** A unique directory under /tmp, removed on scope exit. */
-class TempDir
-{
-  public:
-    TempDir()
-    {
-        char tmpl[] = "/tmp/ev8-ckpt-test-XXXXXX";
-        path_ = ::mkdtemp(tmpl);
-    }
-
-    ~TempDir()
-    {
-        std::error_code ec;
-        fs::remove_all(path_, ec);
-    }
-
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
 };
 
 std::string

@@ -35,6 +35,8 @@
 #include "serve/transport.hh"
 #include "sim/checkpoint.hh"
 
+#include "temp_dir.hh"
+
 namespace ev8
 {
 namespace
@@ -72,7 +74,7 @@ class ScopedEnv
     bool hadValue_ = true;
 };
 
-/** A ServeDaemon running on a test-unique AF_UNIX socket. */
+/** A ServeDaemon on an AF_UNIX socket in its own temp directory. */
 class LiveDaemon
 {
   public:
@@ -80,8 +82,7 @@ class LiveDaemon
                         const volatile std::sig_atomic_t *stop = nullptr)
         : server_(limits, /*jobs=*/2)
     {
-        path_ = ::testing::TempDir() + "ev8_daemon_"
-            + std::to_string(++instance_) + ".sock";
+        path_ = dir_.file("daemon.sock");
         DaemonOptions opts;
         opts.unixPath = path_;
         opts.drainMs = drain_ms;
@@ -101,7 +102,6 @@ class LiveDaemon
             server_.handle("{\"op\":\"shutdown\"}");
             runner_.join();
         }
-        std::remove(path_.c_str());
     }
 
     const std::string &path() const { return path_; }
@@ -114,14 +114,12 @@ class LiveDaemon
     }
 
   private:
-    static int instance_;
+    TempDir dir_; //!< per-process: no socket collisions
     PredictionServer server_;
     std::string path_;
     std::unique_ptr<ServeDaemon> daemon_;
     std::thread runner_;
 };
-
-int LiveDaemon::instance_ = 0;
 
 /** One protocol client connection over the daemon's socket. */
 class Client

@@ -35,6 +35,8 @@
 #include "sim/experiment.hh"
 #include "sim/suite_runner.hh"
 
+#include "temp_dir.hh"
+
 namespace ev8
 {
 namespace
@@ -72,28 +74,6 @@ class ScopedEnv
     std::string name_;
     std::string saved_;
     bool hadValue_ = true;
-};
-
-/** A unique directory under /tmp, removed on scope exit. */
-class TempDir
-{
-  public:
-    TempDir()
-    {
-        char tmpl[] = "/tmp/ev8-fault-test-XXXXXX";
-        path_ = ::mkdtemp(tmpl);
-    }
-
-    ~TempDir()
-    {
-        std::error_code ec;
-        fs::remove_all(path_, ec);
-    }
-
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
 };
 
 std::string

@@ -2,9 +2,11 @@
  * @file
  * Tests for fused multi-configuration simulation: the guarantee that a
  * fused walk -- one stream pass driving N predictor lanes -- produces
- * *exactly* what N independent simulateStream() calls produce, for any
- * lane mix, any lane cap and either EV8_FUSED mode, down to the bytes
- * of the merged metric registry and the sampled event stream.
+ * *exactly* what N independent one-lane walks produce, for any lane
+ * mix and any lane cap (EV8_FUSED_LANES=1 is the per-cell grid), down
+ * to the bytes of the merged metric registry and the sampled event
+ * stream; and that every one-lane walk matches the generic-kernel
+ * reference in the exact, sampled, timed and event-emitting modes.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +23,11 @@
 #include "obs/metrics.hh"
 #include "predictors/factory.hh"
 #include "sim/block_stream.hh"
+#include "serve/grids.hh"
+#include "sim/cell_executor.hh"
 #include "sim/experiment.hh"
+#include "sim/phase/phase_map.hh"
+#include "sim/phase/sample_plan.hh"
 #include "sim/simulator.hh"
 #include "sim/suite_runner.hh"
 #include "workloads/suite.hh"
@@ -40,13 +46,13 @@ std::vector<std::string>
 laneSpecs()
 {
     return {
-        "gshare:12:8",             // FusedLaneIndexed, shared walk
+        "gshare:12:8",             // group-stepped, shared walk
         "gshare:12:12",            // second lane of the same bucket
-        "bimodal:10",              // FusedLaneIndexed, history-free
-        "2bcgskew:12:0:13:14:15",  // FusedSteppable
+        "bimodal:10",              // group-stepped, history-free
+        "2bcgskew:12:0:13:14:15",  // group-stepped
         "egskew:12:10",            // FusedSteppable
-        "yags:10:10:10",           // devirtualized predict/update
-        "bimode:10:10:10",         // devirtualized predict/update
+        "yags:10:10:10",           // FusedSteppable
+        "bimode:10:10:10",         // FusedSteppable
         "perceptron:10:16",        // generic (virtual) bucket
     };
 }
@@ -107,22 +113,134 @@ INSTANTIATE_TEST_SUITE_P(
                                                         : "ev8";
     });
 
-/** A single-lane fused call is the degenerate case; it must also match. */
+/** The observability modes a one-lane walk must agree in. */
+enum class WalkMode
+{
+    Exact,
+    Sampled,
+    Timed,
+    Events,
+};
+
+/** What a one-lane walk produced, in comparable form. */
+struct OneLaneRun
+{
+    SimResult result;
+    std::string metricsJson; //!< empty in timed mode (wall-clock ns)
+    std::string eventsJsonl;
+};
+
+/**
+ * Runs @p spec as a one-lane walk, or with @p paired as lane 0 of a
+ * two-lane walk beside a sink-less twin (a multi-lane shape).
+ */
+OneLaneRun
+runOneLane(const BlockStream &stream, const std::string &spec,
+           SimConfig config, WalkMode mode, const SamplePlan &plan,
+           bool paired = false)
+{
+    PredictorPtr pred = makePredictor(spec);
+    PredictorPtr twin = makePredictor(spec);
+    MetricRegistry metrics;
+    std::ostringstream events;
+    EventTraceSink sink(events, 1);
+    config.profileTiming = mode == WalkMode::Timed;
+    FusedLane lane{pred.get(), nullptr, nullptr};
+    if (mode != WalkMode::Timed)
+        lane.metrics = &metrics;
+    if (mode == WalkMode::Events)
+        lane.events = &sink;
+    std::vector<FusedLane> lanes{lane};
+    if (paired)
+        lanes.push_back({twin.get(), nullptr, nullptr});
+    OneLaneRun run;
+    run.result = simulateStreamFused(
+                     stream, lanes, config,
+                     mode == WalkMode::Sampled ? &plan : nullptr)
+                     .front();
+    if (lane.metrics) {
+        std::ostringstream json;
+        writeRegistryJson(json, metrics);
+        run.metricsJson = json.str();
+    }
+    run.eventsJsonl = events.str();
+    return run;
+}
+
+void
+expectSameOneLaneRun(const OneLaneRun &run, const OneLaneRun &ref,
+                     const std::string &label)
+{
+    expectSameResult(run.result, ref.result, label);
+    EXPECT_EQ(run.result.sampled, ref.result.sampled) << label;
+    EXPECT_EQ(run.result.timing.lookup.calls,
+              ref.result.timing.lookup.calls)
+        << label;
+    EXPECT_EQ(run.result.timing.update.calls,
+              ref.result.timing.update.calls)
+        << label;
+    EXPECT_EQ(run.result.timing.history.calls,
+              ref.result.timing.history.calls)
+        << label;
+    EXPECT_EQ(run.metricsJson, ref.metricsJson) << label;
+    EXPECT_EQ(run.eventsJsonl, ref.eventsJsonl) << label;
+}
+
+/**
+ * Every predictor bucket as a one-lane walk (the kernel's Single shape)
+ * in the exact, sampled, timed and event-emitting modes, under both
+ * history configurations: the devirtualized walk must agree with the
+ * forced-generic reference, and with the same lane walked beside a
+ * twin (a multi-lane shape), on results, sampled estimates, timing
+ * call counts, published metrics and every emitted event.
+ */
 TEST(FusedKernel, SingleLaneMatchesSimulateStream)
 {
-    const Trace trace =
-        generateTrace(findBenchmark("go").profile, kTinyScale);
-    const BlockStream stream = decodeBlockStream(trace);
+    const BlockStream stream = decodeBlockStream(
+        generateTrace(findBenchmark("gcc").profile, 20000));
+    SampleSpec spec;
+    spec.active = true;
+    spec.windowBranches = 1024;
+    spec.warmupBranches = 1024;
+    spec.maxPhases = 8;
+    const SamplePlan plan = buildSamplePlan(
+        buildPhaseMap(stream, spec.windowBranches, spec.maxPhases), spec,
+        4096);
+    ASSERT_GT(plan.windows.size(), 1u);
 
-    auto fused_pred = makePredictor("gshare:12:10");
-    auto ref_pred = makePredictor("gshare:12:10");
-    const auto fused = simulateStreamFused(
-        stream, {{fused_pred.get(), nullptr, nullptr}},
-        SimConfig::ghist());
-    const SimResult ref =
-        simulateStream(stream, *ref_pred, SimConfig::ghist());
-    ASSERT_EQ(fused.size(), 1u);
-    expectSameResult(fused[0], ref, "gshare:12:10");
+    for (const SimConfig &base : {SimConfig::ghist(), SimConfig::ev8()}) {
+        for (const WalkMode mode : {WalkMode::Exact, WalkMode::Sampled,
+                                    WalkMode::Timed, WalkMode::Events}) {
+            for (const std::string &lane_spec : laneSpecs()) {
+                const std::string label = lane_spec + " mode "
+                    + std::to_string(static_cast<int>(mode)) + " "
+                    + (base.assignBanks ? "ev8" : "ghist");
+                SimConfig generic = base;
+                generic.forceGenericKernel = true;
+                const OneLaneRun run =
+                    runOneLane(stream, lane_spec, base, mode, plan);
+                expectSameOneLaneRun(
+                    run, runOneLane(stream, lane_spec, generic, mode, plan),
+                    label + " vs generic");
+                expectSameOneLaneRun(
+                    run,
+                    runOneLane(stream, lane_spec, base, mode, plan,
+                               /*paired=*/true),
+                    label + " vs paired");
+                EXPECT_EQ(run.result.sampled.active,
+                          mode == WalkMode::Sampled)
+                    << label;
+                if (mode == WalkMode::Timed) {
+                    EXPECT_EQ(run.result.timing.lookup.calls,
+                              run.result.condBranches)
+                        << label;
+                }
+                if (mode == WalkMode::Events) {
+                    EXPECT_FALSE(run.eventsJsonl.empty()) << label;
+                }
+            }
+        }
+    }
 }
 
 /** Per-lane metric sinks match what simulateStream publishes. */
@@ -211,7 +329,8 @@ expectSameGrid(const ObservedGrid &a, const ObservedGrid &b)
 }
 
 /**
- * The engine-level guarantee: EV8_FUSED=1 and EV8_FUSED=0 produce
+ * The engine-level guarantee: the default lane cap and
+ * EV8_FUSED_LANES=1 (every cell its own one-lane walk) produce
  * byte-identical merged registries and event streams, serial and
  * parallel.
  */
@@ -219,12 +338,12 @@ TEST(FusedEngine, FusedGridIsByteIdenticalToPerCellGrid)
 {
     ObservedGrid fused_j1, fused_j4, percell_j1, percell_j4;
     {
-        ScopedEnv env("EV8_FUSED", "1");
+        ScopedEnv env("EV8_FUSED_LANES", nullptr);
         fused_j1 = observedGrid(1);
         fused_j4 = observedGrid(4);
     }
     {
-        ScopedEnv env("EV8_FUSED", "0");
+        ScopedEnv env("EV8_FUSED_LANES", "1");
         percell_j1 = observedGrid(1);
         percell_j4 = observedGrid(4);
     }
@@ -236,7 +355,6 @@ TEST(FusedEngine, FusedGridIsByteIdenticalToPerCellGrid)
 /** And the lane cap is invisible: 1, 2 or 8 lanes per fused job. */
 TEST(FusedEngine, LaneWidthDoesNotChangeAnyByte)
 {
-    ScopedEnv fused("EV8_FUSED", "1");
     ObservedGrid reference;
     {
         ScopedEnv lanes("EV8_FUSED_LANES", nullptr);
@@ -258,7 +376,6 @@ TEST(FusedEngine, LaneWidthDoesNotChangeAnyByte)
  */
 TEST(FusedEngine, SimdBackendLaneCapJobsDoNotChangeAnyByte)
 {
-    ScopedEnv fused("EV8_FUSED", "1");
     ObservedGrid reference;
     {
         ScopedEnv simd_env("EV8_SIMD", "0");
@@ -283,11 +400,49 @@ TEST(FusedEngine, SimdBackendLaneCapJobsDoNotChangeAnyByte)
 /** The forced-generic kernel path fuses identically too. */
 TEST(FusedEngine, GenericKernelGridMatchesDevirtualizedGrid)
 {
-    ScopedEnv fused("EV8_FUSED", "1");
     const ObservedGrid devirt = observedGrid(1);
     ScopedEnv generic("EV8_GENERIC_KERNEL", "1");
     const ObservedGrid forced = observedGrid(1);
     expectSameGrid(forced, devirt);
+}
+
+/**
+ * One planner for batch and serve: for every registry grid, the groups
+ * planFuseGroups() makes over the whole batch grid, restricted to one
+ * benchmark, are exactly the groups it makes over a served session's
+ * cells for that benchmark, at any lane cap.
+ */
+TEST(FusedEngine, PlannerGroupsBatchAndServedCellsAlike)
+{
+    const size_t nbench = specint95Suite().size();
+    ASSERT_FALSE(knownGrids().empty());
+    for (const std::string &id : knownGrids()) {
+        const GridSpec &grid = *findGrid(id);
+        const std::vector<GridRow> rows =
+            buildGridRows(grid, baseConfig(grid));
+        std::vector<CellRequest> reqs(rows.size() * nbench);
+        std::vector<size_t> all(reqs.size());
+        for (size_t i = 0; i < reqs.size(); ++i) {
+            reqs[i].profile = &specint95Suite()[i % nbench].profile;
+            reqs[i].config = rows[i / nbench].config;
+            all[i] = i;
+        }
+        for (const size_t cap : {kMaxFusedLanes, size_t{2}, size_t{1}}) {
+            const auto batch = planFuseGroups(all, reqs, cap);
+            for (size_t b = 0; b < nbench; ++b) {
+                std::vector<size_t> bench_cells;
+                for (size_t r = 0; r < rows.size(); ++r)
+                    bench_cells.push_back(r * nbench + b);
+                std::vector<std::vector<size_t>> batch_b;
+                for (const auto &group : batch) {
+                    if (group.front() % nbench == b)
+                        batch_b.push_back(group);
+                }
+                EXPECT_EQ(planFuseGroups(bench_cells, reqs, cap), batch_b)
+                    << id << " cap " << cap << " bench " << b;
+            }
+        }
+    }
 }
 
 } // namespace

@@ -22,6 +22,8 @@
 #include "trace/trace_io.hh"
 #include "workloads/suite.hh"
 
+#include "temp_dir.hh"
+
 namespace ev8
 {
 namespace
@@ -34,25 +36,6 @@ testProfile()
 {
     return findBenchmark("gcc").profile;
 }
-
-/** A scratch cache directory, removed on scope exit. */
-class ScratchDir
-{
-  public:
-    explicit ScratchDir(const std::string &leaf)
-        : path_(std::filesystem::path(::testing::TempDir()) / leaf)
-    {
-        std::filesystem::remove_all(path_);
-        std::filesystem::create_directories(path_);
-    }
-
-    ~ScratchDir() { std::filesystem::remove_all(path_); }
-
-    std::string str() const { return path_.string(); }
-
-  private:
-    std::filesystem::path path_;
-};
 
 std::string
 serialize(const Trace &trace)
@@ -132,9 +115,9 @@ TEST(TraceCache, FilePathCarriesVersionStampAndBudget)
 
 TEST(TraceCache, DiskLayerPersistsAndReloads)
 {
-    ScratchDir dir("ev8_trace_cache_disk");
+    TempDir dir;
 
-    TraceCache writer(dir.str());
+    TraceCache writer(dir.path());
     const Trace &generated = writer.get(testProfile(), kTinyBranches);
     EXPECT_EQ(writer.generatedCount(), 1u);
     EXPECT_EQ(writer.diskHitCount(), 0u);
@@ -144,7 +127,7 @@ TEST(TraceCache, DiskLayerPersistsAndReloads)
 
     // A fresh cache over the same directory loads instead of
     // regenerating, and serves the identical trace bytes.
-    TraceCache reader(dir.str());
+    TraceCache reader(dir.path());
     const Trace &loaded = reader.get(testProfile(), kTinyBranches);
     EXPECT_EQ(reader.generatedCount(), 0u);
     EXPECT_EQ(reader.diskHitCount(), 1u);
@@ -153,9 +136,9 @@ TEST(TraceCache, DiskLayerPersistsAndReloads)
 
 TEST(TraceCache, ChangedProfileRegeneratesInsteadOfReusingStaleFile)
 {
-    ScratchDir dir("ev8_trace_cache_stale");
+    TempDir dir;
 
-    TraceCache first(dir.str());
+    TraceCache first(dir.path());
     first.get(testProfile(), kTinyBranches);
     EXPECT_EQ(first.generatedCount(), 1u);
 
@@ -166,7 +149,7 @@ TEST(TraceCache, ChangedProfileRegeneratesInsteadOfReusingStaleFile)
     EXPECT_NE(first.filePath(edited, kTinyBranches),
               first.filePath(testProfile(), kTinyBranches));
 
-    TraceCache second(dir.str());
+    TraceCache second(dir.path());
     const Trace &regenerated = second.get(edited, kTinyBranches);
     EXPECT_EQ(second.diskHitCount(), 0u) << "stale file reused";
     EXPECT_EQ(second.generatedCount(), 1u);
@@ -212,9 +195,9 @@ TEST(TraceCache, StreamFilePathCarriesBothVersionStamps)
 
 TEST(TraceCache, WarmStreamDiskLayerSkipsSynthesisAndDecode)
 {
-    ScratchDir dir("ev8_stream_cache_disk");
+    TempDir dir;
 
-    TraceCache writer(dir.str());
+    TraceCache writer(dir.path());
     const BlockStream &decoded =
         writer.stream(testProfile(), kTinyBranches);
     EXPECT_EQ(writer.decodedCount(), 1u);
@@ -225,7 +208,7 @@ TEST(TraceCache, WarmStreamDiskLayerSkipsSynthesisAndDecode)
 
     // A fresh cache over the warm directory serves the identical stream
     // without synthesizing the trace or re-decoding it.
-    TraceCache reader(dir.str());
+    TraceCache reader(dir.path());
     const BlockStream &loaded =
         reader.stream(testProfile(), kTinyBranches);
     EXPECT_EQ(reader.streamDiskHitCount(), 1u);
@@ -236,9 +219,9 @@ TEST(TraceCache, WarmStreamDiskLayerSkipsSynthesisAndDecode)
 
 TEST(TraceCache, CorruptStreamFileIsRedecoded)
 {
-    ScratchDir dir("ev8_stream_cache_corrupt");
+    TempDir dir;
 
-    TraceCache writer(dir.str());
+    TraceCache writer(dir.path());
     const BlockStream expected =
         writer.stream(testProfile(), kTinyBranches);
     const std::string path =
@@ -249,7 +232,7 @@ TEST(TraceCache, CorruptStreamFileIsRedecoded)
         out << "EV8Sgarbage-not-a-stream";
     }
 
-    TraceCache reader(dir.str());
+    TraceCache reader(dir.path());
     const BlockStream &recovered =
         reader.stream(testProfile(), kTinyBranches);
     EXPECT_EQ(reader.streamDiskHitCount(), 0u);
@@ -262,9 +245,9 @@ TEST(TraceCache, CorruptStreamFileIsRedecoded)
 
 TEST(TraceCache, CorruptCacheFileIsRegenerated)
 {
-    ScratchDir dir("ev8_trace_cache_corrupt");
+    TempDir dir;
 
-    TraceCache writer(dir.str());
+    TraceCache writer(dir.path());
     const std::string expected = serialize(
         writer.get(testProfile(), kTinyBranches));
     const std::string path =
@@ -275,7 +258,7 @@ TEST(TraceCache, CorruptCacheFileIsRegenerated)
         out << "EV8Tgarbage-not-a-trace";
     }
 
-    TraceCache reader(dir.str());
+    TraceCache reader(dir.path());
     const Trace &recovered = reader.get(testProfile(), kTinyBranches);
     EXPECT_EQ(reader.diskHitCount(), 0u);
     EXPECT_EQ(reader.generatedCount(), 1u);
@@ -317,12 +300,12 @@ class ScopedEnv
 
 TEST(TraceCacheFaults, UnusableDirectoryDegradesToMemoryOperation)
 {
-    ScratchDir dir("ev8_trace_cache_unusable");
+    TempDir dir;
     // A cache rooted under a regular file: the construction probe must
     // fail (create_directories cannot make a directory there), whatever
     // the process's privileges -- a chmod-based test is a no-op for
     // root.
-    const std::string file = dir.str() + "/plain-file";
+    const std::string file = dir.path() + "/plain-file";
     std::ofstream(file) << "x";
 
     TraceCache cache(file + "/sub");
@@ -338,16 +321,16 @@ TEST(TraceCacheFaults, UnusableDirectoryDegradesToMemoryOperation)
 
 TEST(TraceCacheFaults, InjectedReadFaultRegeneratesAndCounts)
 {
-    ScratchDir dir("ev8_trace_cache_read_fault");
+    TempDir dir;
     std::string expected;
     {
-        TraceCache writer(dir.str());
+        TraceCache writer(dir.path());
         expected = serialize(writer.get(testProfile(), kTinyBranches));
     }
 
     // Every cache file's first read attempt fails.
     ScopedEnv spec("EV8_FAULT_SPEC", "cache_read/+1");
-    TraceCache reader(dir.str());
+    TraceCache reader(dir.path());
     const Trace &recovered = reader.get(testProfile(), kTinyBranches);
     EXPECT_EQ(serialize(recovered), expected);
     EXPECT_EQ(reader.diskHitCount(), 0u);
@@ -358,9 +341,9 @@ TEST(TraceCacheFaults, InjectedReadFaultRegeneratesAndCounts)
 
 TEST(TraceCacheFaults, InjectedWriteFaultKeepsResultsInMemory)
 {
-    ScratchDir dir("ev8_trace_cache_write_fault");
+    TempDir dir;
     ScopedEnv spec("EV8_FAULT_SPEC", "cache_write+*");
-    TraceCache cache(dir.str());
+    TraceCache cache(dir.path());
     const Trace &trace = cache.get(testProfile(), kTinyBranches);
     EXPECT_EQ(trace.stats().dynamicCondBranches, kTinyBranches);
     EXPECT_GE(cache.writeErrorCount(), 1u);
@@ -370,20 +353,20 @@ TEST(TraceCacheFaults, InjectedWriteFaultKeepsResultsInMemory)
 
 TEST(TraceCacheFaults, CrashBeforeRenameLeavesNoVisibleCacheFile)
 {
-    ScratchDir dir("ev8_trace_cache_rename_fault");
+    TempDir dir;
     std::string path;
     {
         // The temp file is written, then the "crash" hits before the
         // atomic rename: the final path must never appear.
         ScopedEnv spec("EV8_FAULT_SPEC", "cache_rename+*");
-        TraceCache cache(dir.str());
+        TraceCache cache(dir.path());
         cache.get(testProfile(), kTinyBranches);
         path = cache.filePath(testProfile(), kTinyBranches);
         EXPECT_FALSE(std::filesystem::exists(path)) << path;
         EXPECT_GE(cache.writeErrorCount(), 1u);
     }
     // A later fault-free cache simply regenerates and heals the disk.
-    TraceCache healed(dir.str());
+    TraceCache healed(dir.path());
     healed.get(testProfile(), kTinyBranches);
     EXPECT_EQ(healed.generatedCount(), 1u);
     EXPECT_TRUE(std::filesystem::exists(path));
@@ -391,21 +374,21 @@ TEST(TraceCacheFaults, CrashBeforeRenameLeavesNoVisibleCacheFile)
 
 TEST(TraceCacheFaults, TornStreamWriteIsRejectedOnReloadAndHealed)
 {
-    ScratchDir dir("ev8_stream_cache_torn");
+    TempDir dir;
     BlockStream expected;
     std::string path;
     {
         // The .ev8s stream file is truncated to half its size before
         // the rename: a torn write that survives the rename discipline.
         ScopedEnv spec("EV8_FAULT_SPEC", "cache_short_write/.ev8s+*");
-        TraceCache writer(dir.str());
+        TraceCache writer(dir.path());
         expected = writer.stream(testProfile(), kTinyBranches);
         path = writer.streamFilePath(testProfile(), kTinyBranches);
         ASSERT_TRUE(std::filesystem::exists(path)) << path;
     }
     // The truncated file must fail verification mid-read and be
     // re-decoded -- never crash, never serve garbage.
-    TraceCache reader(dir.str());
+    TraceCache reader(dir.path());
     const BlockStream &recovered =
         reader.stream(testProfile(), kTinyBranches);
     EXPECT_TRUE(recovered == expected);
@@ -420,18 +403,18 @@ constexpr uint32_t kPhaseCap = 4;
 
 TEST(TraceCachePhases, SidecarPersistsAndReloads)
 {
-    ScratchDir dir("ev8_phase_sidecar_roundtrip");
+    TempDir dir;
     PhaseMap expected;
     std::string path;
     {
-        TraceCache writer(dir.str());
+        TraceCache writer(dir.path());
         expected = writer.phases(testProfile(), kTinyBranches,
                                  kPhaseWindow, kPhaseCap);
         path = writer.phaseFilePath(testProfile(), kTinyBranches,
                                     kPhaseWindow, kPhaseCap);
         ASSERT_TRUE(std::filesystem::exists(path)) << path;
     }
-    TraceCache reader(dir.str());
+    TraceCache reader(dir.path());
     const PhaseMap &loaded = reader.phases(testProfile(), kTinyBranches,
                                            kPhaseWindow, kPhaseCap);
     EXPECT_EQ(loaded, expected);
@@ -455,11 +438,11 @@ TEST(TraceCachePhases, BuiltOncePerKeyAndDistinctPerKnobs)
 
 TEST(TraceCachePhases, CorruptSidecarIsRebuiltAndHealed)
 {
-    ScratchDir dir("ev8_phase_sidecar_corrupt");
+    TempDir dir;
     PhaseMap expected;
     std::string path;
     {
-        TraceCache writer(dir.str());
+        TraceCache writer(dir.path());
         expected = writer.phases(testProfile(), kTinyBranches,
                                  kPhaseWindow, kPhaseCap);
         path = writer.phaseFilePath(testProfile(), kTinyBranches,
@@ -469,7 +452,7 @@ TEST(TraceCachePhases, CorruptSidecarIsRebuiltAndHealed)
         std::ofstream out(path, std::ios::trunc | std::ios::binary);
         out << "EV8Pgarbage-not-a-phase-map";
     }
-    TraceCache reader(dir.str());
+    TraceCache reader(dir.path());
     const PhaseMap &recovered = reader.phases(
         testProfile(), kTinyBranches, kPhaseWindow, kPhaseCap);
     EXPECT_EQ(recovered, expected);
@@ -480,8 +463,8 @@ TEST(TraceCachePhases, CorruptSidecarIsRebuiltAndHealed)
 
 TEST(TraceCachePhases, StaleKeyMismatchSidecarIsRejected)
 {
-    ScratchDir dir("ev8_phase_sidecar_stale");
-    TraceCache writer(dir.str());
+    TempDir dir;
+    TraceCache writer(dir.path());
     const PhaseMap expected = writer.phases(
         testProfile(), kTinyBranches, kPhaseWindow, kPhaseCap);
     const std::string path = writer.phaseFilePath(
@@ -494,7 +477,7 @@ TEST(TraceCachePhases, StaleKeyMismatchSidecarIsRejected)
     impostor.windowBranches = 2 * kPhaseWindow;
     writePhaseMapFile(path, impostor);
 
-    TraceCache reader(dir.str());
+    TraceCache reader(dir.path());
     const PhaseMap &recovered = reader.phases(
         testProfile(), kTinyBranches, kPhaseWindow, kPhaseCap);
     EXPECT_EQ(recovered, expected);
@@ -503,11 +486,11 @@ TEST(TraceCachePhases, StaleKeyMismatchSidecarIsRejected)
 
 TEST(TraceCachePhases, SidecarReadFaultRebuildsWithoutPoisoningExactPath)
 {
-    ScratchDir dir("ev8_phase_sidecar_read_fault");
+    TempDir dir;
     PhaseMap expected;
     BlockStream stream;
     {
-        TraceCache writer(dir.str());
+        TraceCache writer(dir.path());
         expected = writer.phases(testProfile(), kTinyBranches,
                                  kPhaseWindow, kPhaseCap);
         stream = writer.stream(testProfile(), kTinyBranches);
@@ -515,7 +498,7 @@ TEST(TraceCachePhases, SidecarReadFaultRebuildsWithoutPoisoningExactPath)
 
     // Every sidecar read attempt fails; the stream cache is untouched.
     ScopedEnv spec("EV8_FAULT_SPEC", "sidecar_read+*");
-    TraceCache reader(dir.str());
+    TraceCache reader(dir.path());
     const PhaseMap &rebuilt = reader.phases(
         testProfile(), kTinyBranches, kPhaseWindow, kPhaseCap);
     EXPECT_EQ(rebuilt, expected);
@@ -529,9 +512,9 @@ TEST(TraceCachePhases, SidecarReadFaultRebuildsWithoutPoisoningExactPath)
 
 TEST(TraceCachePhases, SidecarWriteFaultKeepsMapInMemory)
 {
-    ScratchDir dir("ev8_phase_sidecar_write_fault");
+    TempDir dir;
     ScopedEnv spec("EV8_FAULT_SPEC", "sidecar_write+*");
-    TraceCache cache(dir.str());
+    TraceCache cache(dir.path());
     const PhaseMap &map = cache.phases(
         testProfile(), kTinyBranches, kPhaseWindow, kPhaseCap);
     EXPECT_EQ(map.branches, kTinyBranches);

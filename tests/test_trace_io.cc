@@ -11,6 +11,8 @@
 #include "common/random.hh"
 #include "trace/trace_io.hh"
 
+#include "temp_dir.hh"
+
 namespace ev8
 {
 namespace
@@ -87,12 +89,12 @@ INSTANTIATE_TEST_SUITE_P(Sizes, TraceIoRoundtrip,
 TEST(TraceIo, FileRoundtrip)
 {
     const Trace t = makeRandomTrace(99, 500);
-    const std::string path = ::testing::TempDir() + "/ev8_trace_test.evt";
+    const TempDir dir;
+    const std::string path = dir.file("trace.evt");
     writeTraceFile(path, t);
     const Trace back = readTraceFile(path);
     EXPECT_EQ(back.size(), t.size());
     EXPECT_EQ(back.records(), t.records());
-    std::remove(path.c_str());
 }
 
 TEST(TraceIo, RejectsBadMagic)

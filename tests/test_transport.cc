@@ -23,6 +23,8 @@
 
 #include "serve/transport.hh"
 
+#include "temp_dir.hh"
+
 namespace ev8
 {
 namespace
@@ -228,8 +230,8 @@ TEST(Transport, TcpListenerBindsEphemeralPortAndServesALine)
 
 TEST(Transport, UnixListenerRoundTripsOverThePathSocket)
 {
-    const std::string path =
-        ::testing::TempDir() + "ev8_transport_test.sock";
+    const TempDir dir;
+    const std::string path = dir.file("transport.sock");
     std::string err;
     const int listenFd = serveio::listenUnix(path, err);
     ASSERT_GE(listenFd, 0) << err;
@@ -253,7 +255,6 @@ TEST(Transport, UnixListenerRoundTripsOverThePathSocket)
     EXPECT_EQ(line, "echo me");
     server.join();
     ::close(listenFd);
-    std::remove(path.c_str());
 }
 
 TEST(Transport, AcceptTimesOutWithoutAClient)
