@@ -12,6 +12,7 @@
 #include "common/table.hh"
 #include "obs/json.hh"
 #include "obs/progress.hh"
+#include "obs/timer.hh"
 #include "obs/trace_span.hh"
 #include "obs/trace_writer.hh"
 #include "sim/experiment.hh"
@@ -54,7 +55,7 @@ printUsage(const char *prog)
         "  --jobs=<N>       simulation worker threads, 1..4096 (default:\n"
         "                   EV8_JOBS or hardware concurrency; results and\n"
         "                   artifacts are byte-identical for any N)\n"
-        "  --no-timing      skip the lookup/update/history timing split\n"
+        "  --no-timing      skip the sampled lookup/update/history timing\n"
         "  --trace-out=<f>  write a Chrome trace_event timeline of the\n"
         "                   run (load in Perfetto / chrome://tracing;\n"
         "                   timing-dependent, excluded from byte-\n"
@@ -490,8 +491,10 @@ BenchContext::finish()
 
     if (args_.timing && args_.wantsArtifacts() && !args_.quiet
         && data_.timing.lookup.calls > 0) {
-        std::printf("timing: lookup %.1f ns/call, update %.1f ns/call, "
-                    "history %.1f ns/block\n\n",
+        std::printf("timing (sampled 1-in-%llu blocks): lookup %.1f "
+                    "ns/call, update %.1f ns/call, history %.1f "
+                    "ns/block\n\n",
+                    static_cast<unsigned long long>(kTimingSamplePeriod),
                     data_.timing.lookup.nsPerCall(),
                     data_.timing.update.nsPerCall(),
                     data_.timing.history.nsPerCall());

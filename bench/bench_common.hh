@@ -17,7 +17,7 @@
  *     --jobs=<N>       simulation worker threads (default EV8_JOBS or
  *                      hardware concurrency; artifacts are
  *                      byte-identical for any N)
- *     --no-timing      skip the lookup/update/history ScopedTimer split
+ *     --no-timing      skip the sampled lookup/update/history timing
  *     --trace-out=<f>  Chrome trace_event timeline of the run
  *                      (Perfetto / chrome://tracing loadable)
  *     --progress       live cells-done/ETA line on stderr

@@ -64,12 +64,12 @@ using namespace ev8;
 namespace
 {
 
-volatile std::sig_atomic_t g_stop = 0;
+DaemonStopFlag g_stop{0};
 
 void
 onStopSignal(int)
 {
-    g_stop = 1;
+    g_stop.store(1, std::memory_order_relaxed);
 }
 
 int
@@ -203,7 +203,7 @@ main(int argc, char **argv)
             std::fprintf(stderr, "bench_serve: accept failed\n");
             fate = kExitFatal;
         }
-        if (g_stop && !benchQuiet()) {
+        if (g_stop.load(std::memory_order_relaxed) && !benchQuiet()) {
             std::fprintf(stderr, "drained on signal (%s)\n",
                          daemon.drainedClean()
                              ? "all sessions finished"

@@ -21,9 +21,8 @@ Methodology, tuned for noisy shared runners:
    minimum wall-clock per mode is compared: the fastest repetition is
    the one with the least interference, and alternation cancels slow
    drift.
- * Runs use --no-timing: per-call timing profiling forces the fused
-   kernel onto the per-lane observed path (every lane needs its own
-   timer), so a timed run measures the profiler, not the simulator.
+ * Runs use --no-timing, so the gate measures the simulator alone
+   (ci/check_observed_overhead.py prices observation separately).
 
 --report writes a JSON summary carrying the raw samples, the active
 SIMD backend and lane width (read from the artifact telemetry), and

@@ -22,14 +22,15 @@
  *    thread at a time.
  *  - BufferedEventSink records the raw event structs. The experiment
  *    engine gives every parallel (benchmark, config) job its own buffer
- *    and replays the buffers into the shared EventTraceSink in
- *    submission order, which keeps the emitted stream byte-identical to
- *    a serial run no matter how many worker threads executed the jobs.
+ *    and offers the buffers to the shared EventTraceSink in submission
+ *    order, which keeps the emitted stream byte-identical to a serial
+ *    run no matter how many worker threads executed the jobs.
  */
 
 #ifndef EV8_OBS_EVENT_TRACE_HH
 #define EV8_OBS_EVENT_TRACE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -80,6 +81,18 @@ class MispredictSink
      */
     virtual bool onMispredict(const MispredictEvent &event) = 0;
 
+    /**
+     * Offers @p count consecutive mispredictions at once, exactly as
+     * that many onMispredict() calls would. Sampling sinks override it
+     * to visit only the events they keep.
+     */
+    virtual void
+    onMispredicts(const MispredictEvent *events, size_t count)
+    {
+        for (size_t i = 0; i < count; ++i)
+            onMispredict(events[i]);
+    }
+
     /** Names the benchmark subsequent events belong to. */
     virtual void setBench(std::string) {}
 
@@ -113,22 +126,30 @@ class EventTraceSink : public MispredictSink
      */
     bool onMispredict(const MispredictEvent &event) override;
 
+    /** Skips straight to the sampled events of the batch. */
+    void onMispredicts(const MispredictEvent *events,
+                       size_t count) override;
+
     uint64_t seen() const { return seen_; }
     uint64_t emitted() const { return emitted_; }
     uint64_t sampleEvery() const { return every; }
 
   private:
+    /** Writes one sampled event as a JSONL record. */
+    void write(const MispredictEvent &event);
+
     std::ostream &out_;
     uint64_t every;
     uint64_t seen_ = 0;
     uint64_t emitted_ = 0;
     std::string bench;
     const BranchClassMap *classes = nullptr;
+    std::string line_; //!< write()'s reused record buffer
 };
 
 /**
  * Records every offered event verbatim. One per parallel job: the
- * engine replays buffers into the real (sampling) sink in submission
+ * engine offers the buffers to the real (sampling) sink in submission
  * order, so the sampling counter observes the exact misprediction
  * stream a serial run would have produced.
  */
@@ -155,8 +176,7 @@ class BufferedEventSink : public MispredictSink
     void
     replayInto(MispredictSink &sink) const
     {
-        for (const MispredictEvent &event : events_)
-            sink.onMispredict(event);
+        sink.onMispredicts(events_.data(), events_.size());
     }
 
   private:

@@ -10,7 +10,7 @@
  *     pred.<name>.bank<k>.*       counter, per-bank predictor internals
  *     frontend.banks.*            counter, bank-scheduler occupancy
  *     core.storage.<table>.*      counter/gauge, physical-array accesses
- *     sim.time.<phase>.*          counter/gauge, ScopedTimer results
+ *     sim.time.<phase>.*          counter/gauge, sampled kernel timing
  *
  * The registry hands out stable references: a Counter& stays valid for
  * the registry's lifetime, so hot paths can hold the pointer and bump it

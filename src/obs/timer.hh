@@ -1,20 +1,20 @@
 /**
  * @file
- * Lightweight wall-clock profiling for the simulation hot paths:
- * an accumulating (calls, nanoseconds) pair per measured phase and a
- * scope guard that feeds it. The simulator wraps predictor lookup,
- * predictor update and history maintenance with these when
- * SimConfig::profileTiming is set; with the flag off the hot loop pays
- * only an untaken branch.
+ * Lightweight wall-clock profiling for the simulation hot paths: an
+ * accumulating (calls, nanoseconds) pair per measured phase, and the
+ * sampling helpers the kernel uses to fill them. When
+ * SimConfig::profileTiming is set the kernel times predictor lookup,
+ * predictor update and history maintenance on one fetch block in
+ * kTimingSamplePeriod and extrapolates; every other block runs the
+ * untimed fused steppers.
  */
 
 #ifndef EV8_OBS_TIMER_HH
 #define EV8_OBS_TIMER_HH
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
-
-#include "obs/trace_span.hh"
 
 namespace ev8
 {
@@ -65,44 +65,39 @@ struct SimTiming
 };
 
 /**
- * RAII guard adding its scope's duration to a TimingStat. When a
- * SpanPhase is given and tracing is enabled, the same measurement also
- * feeds the span tracer's coarse phase totals, so PR 1 phase timers and
- * spans share one clock and one naming scheme (TimingStat "lookup" ==
- * span phase "sim.time.lookup"). With tracing disabled the routing
- * costs one relaxed atomic load.
+ * Timed kernel walks clock one fetch block in this many, chosen by
+ * absolute block index (block 0, 64, 128, ...), so the sampled blocks
+ * are the same for every run, lane grouping and worker count. Call
+ * counts stay exact; measured nanoseconds are extrapolated to the
+ * whole walk by the sampled fraction (extrapolateNs()).
  */
-class ScopedTimer
+constexpr uint64_t kTimingSamplePeriod = 64;
+
+/** Monotonic clock in nanoseconds (arbitrary epoch). */
+inline uint64_t
+steadyNowNs()
 {
-  public:
-    explicit ScopedTimer(TimingStat &stat,
-                         SpanPhase phase = SpanPhase::None)
-        : stat_(stat), phase_(phase),
-          start(std::chrono::steady_clock::now())
-    {}
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+}
 
-    ScopedTimer(const ScopedTimer &) = delete;
-    ScopedTimer &operator=(const ScopedTimer &) = delete;
-
-    ~ScopedTimer()
-    {
-        const auto elapsed = std::chrono::steady_clock::now() - start;
-        const auto ns = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                .count());
-        stat_.add(ns);
-        if (phase_ != SpanPhase::None) {
-            SpanTracer &tracer = SpanTracer::global();
-            if (tracer.enabled())
-                tracer.addPhase(phase_, ns);
-        }
-    }
-
-  private:
-    TimingStat &stat_;
-    SpanPhase phase_;
-    std::chrono::steady_clock::time_point start;
-};
+/**
+ * Scales @p ns, measured over @p sampled of @p total units, to all
+ * @p total units and splits the result @p share ways (the lanes that
+ * shared one clock pair). Zero when nothing was sampled.
+ */
+inline uint64_t
+extrapolateNs(uint64_t ns, uint64_t sampled, uint64_t total,
+              uint64_t share = 1)
+{
+    if (sampled == 0)
+        return 0;
+    return static_cast<uint64_t>(std::llround(
+        static_cast<double>(ns) * static_cast<double>(total)
+        / (static_cast<double>(sampled) * static_cast<double>(share))));
+}
 
 } // namespace ev8
 

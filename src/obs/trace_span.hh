@@ -51,9 +51,9 @@ enum class SpanPhase : uint8_t
     CacheLoad,   //!< trace-cache disk probe/load (hit or miss)
     Checkpoint,  //!< checkpoint journal write / restore
     Merge,       //!< submission-order merge of per-job outputs
-    SimLookup,   //!< ScopedTimer sim.time.lookup routing
-    SimUpdate,   //!< ScopedTimer sim.time.update routing
-    SimHistory,  //!< ScopedTimer sim.time.history routing
+    SimLookup,   //!< kernel sim.time.lookup totals (sampled, scaled)
+    SimUpdate,   //!< kernel sim.time.update totals (sampled, scaled)
+    SimHistory,  //!< kernel sim.time.history totals (sampled, scaled)
     Accept,      //!< serve: accepting/admitting a client session
     Enqueue,     //!< serve: producer framing + ring push of one packet
     Stall,       //!< serve: blocked on ring backpressure (either side)
@@ -126,14 +126,17 @@ class SpanTracer
     void record(SpanPhase phase, std::string name, std::string args,
                 uint64_t start_ns, uint64_t dur_ns);
 
-    /** Adds to the always-on coarse totals (any thread, any time). */
+    /**
+     * Adds @p count occurrences totalling @p dur_ns to the always-on
+     * coarse totals (any thread, any time).
+     */
     void
-    addPhase(SpanPhase phase, uint64_t dur_ns)
+    addPhase(SpanPhase phase, uint64_t dur_ns, uint64_t count = 1)
     {
         if (phase == SpanPhase::None)
             return;
         auto &total = phases_[static_cast<size_t>(phase)];
-        total.count.fetch_add(1, std::memory_order_relaxed);
+        total.count.fetch_add(count, std::memory_order_relaxed);
         total.ns.fetch_add(dur_ns, std::memory_order_relaxed);
     }
 

@@ -29,7 +29,8 @@ BimodalPredictor::update(const BranchSnapshot &snap, bool taken, bool)
 }
 
 BimodalPredictor::FusedGroup::FusedGroup(BimodalPredictor *const *preds,
-                                         size_t nlanes)
+                                        size_t nlanes, bool event_walk)
+    : eventWalk_(event_walk)
 {
     lanes_.assign(preds, preds + nlanes);
     backend_ = simd::activeBackend();
@@ -47,21 +48,23 @@ BimodalPredictor::FusedGroup::FusedGroup(BimodalPredictor *const *preds,
     }
 }
 
-void
+uint64_t
 BimodalPredictor::FusedGroup::step(const BranchSnapshot &snap, bool taken,
                                    uint64_t *misp)
 {
-    if (backend_ == simd::Backend::Off) {
-        // The per-lane two-phase step of the pre-vector fused kernel.
-        for (size_t l = 0; l < lanes_.size(); ++l) {
-            const size_t idx = lanes_[l]->laneIndex(snap);
-            misp[l] += lanes_[l]->applyAt(idx, taken) != taken;
-        }
-    } else if (backend_ == simd::Backend::Avx2) {
-        stepVecAvx2(snap, taken, misp);
-    } else {
-        stepVecScalar(snap, taken, misp);
+    if (backend_ == simd::Backend::Avx2)
+        return stepVecAvx2(snap, taken, misp);
+    if (backend_ != simd::Backend::Off)
+        return stepVecScalar(snap, taken, misp);
+    // The per-lane two-phase step of the pre-vector fused kernel.
+    uint64_t missed = 0;
+    for (size_t l = 0; l < lanes_.size(); ++l) {
+        const size_t idx = lanes_[l]->laneIndex(snap);
+        const bool miss = lanes_[l]->applyAt(idx, taken) != taken;
+        misp[l] += miss;
+        missed |= uint64_t{miss} << l;
     }
+    return missed;
 }
 
 uint64_t

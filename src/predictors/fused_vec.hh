@@ -23,7 +23,8 @@
  *    tree as 0/1 lane arithmetic -- no data-dependent branches -- and
  *    retires the counter transitions as masked bitplane XORs written
  *    back one whole word per (bank, real lane). This also retires the
- *    per-lane `p.last` stores of the scalar step.
+ *    per-lane `p.last` stores of the scalar step; event walks
+ *    (eventWalk_) write back only the mispredicting lanes' votes.
  *
  *  - gshare/bimodal: index, counter read and the saturating 2-bit
  *    update all happen in-register four lanes at a time; the update
@@ -50,7 +51,7 @@ namespace ev8
 {
 
 template <class Vec>
-void
+uint64_t
 TwoBcGskewPredictor::FusedGroup::stepVec(const BranchSnapshot &snap,
                                          bool taken, uint64_t *misp)
 {
@@ -146,6 +147,7 @@ TwoBcGskewPredictor::FusedGroup::stepVec(const BranchSnapshot &snap,
     // write-backs of a step can touch the same word.
     const Vec six3(63);
     const Vec tb(taken ? 1 : 0);
+    uint64_t missed = 0;
     for (size_t l = 0; l < paddedLanes_; l += kW) {
         Vec bit[kNumTables], pw[kNumTables], pa[kNumTables];
         Vec ppos[kNumTables], hbit[kNumTables], hw[kNumTables];
@@ -169,6 +171,29 @@ TwoBcGskewPredictor::FusedGroup::stepVec(const BranchSnapshot &snap,
         const Vec maj = (b & g0v) | (b & g1v) | (g0v & g1v);
         const Vec ovr = b ^ (m & (maj ^ b));
         ovr.store(&ovrS_[l]);
+
+        // Event walks: report the mispredicting lanes and keep their
+        // votes readable through lastVotes() until their next step.
+        // Blocks where every lane predicted right skip the lane loop.
+        if (eventWalk_ && !(ovr ^ tb).allZero()) {
+            uint64_t votes[kW];
+            (b | (g0v << 1) | (g1v << 2) | (m << 3)).store(votes);
+            for (size_t k = 0; k < kW && l + k < lanes_.size(); ++k) {
+                const bool overall = ovrS_[l + k] != 0;
+                if (overall == taken)
+                    continue;
+                missed |= uint64_t{1} << (l + k);
+                GskewLookup &look = lanes_[l + k]->last;
+                look.bimPred = (votes[k] & 1) != 0;
+                look.g0Pred = (votes[k] & 2) != 0;
+                look.g1Pred = (votes[k] & 4) != 0;
+                look.metaPred = (votes[k] & 8) != 0;
+                look.majority = (static_cast<int>(look.bimPred)
+                                 + look.g0Pred + look.g1Pred)
+                                >= 2;
+                look.overall = overall;
+            }
+        }
 
         // The policy flags, all 0/1 per lane: S = strengthen, U =
         // full update, tgt = the update direction. META retrains
@@ -273,18 +298,20 @@ TwoBcGskewPredictor::FusedGroup::stepVec(const BranchSnapshot &snap,
         ++accSteps_;
 
     // Debug-build bookkeeping for update()'s immediate-update contract
-    // assert. Unlike the scalar stepper nothing here fills p.last: the
-    // untimed event-free fused path never reads the cached lookup back.
+    // assert. Unlike the scalar stepper nothing above fills p.last's
+    // indices: only lastVotes() reads it back, and only after a
+    // mispredicting step of an event walk.
 #ifndef NDEBUG
     for (size_t l = 0; l < lanes_.size(); ++l) {
         lanes_[l]->lastPc = snap.pc;
         lanes_[l]->lastIndexHist = snap.hist.indexHist;
     }
 #endif
+    return missed;
 }
 
 template <class Vec>
-void
+uint64_t
 GsharePredictor::FusedGroup::stepVec(const BranchSnapshot &snap,
                                      bool taken, uint64_t *misp)
 {
@@ -292,6 +319,7 @@ GsharePredictor::FusedGroup::stepVec(const BranchSnapshot &snap,
     const Vec one(1);
     const Vec pcv(snap.pc >> 2);
     const Vec histv(snap.hist.indexHist);
+    uint64_t missed = 0;
     for (size_t l = 0; l < paddedLanes_; l += kW) {
         const Vec n = Vec::load(&n_[l]);
         const Vec m = Vec::load(&idxMask_[l]);
@@ -323,17 +351,25 @@ GsharePredictor::FusedGroup::stepVec(const BranchSnapshot &snap,
             misp[l + k] +=
                 (((cArr[k] >> 1) & 1) != 0) != taken;
         }
+        if (eventWalk_) {
+            for (size_t k = 0; k < real; ++k) {
+                missed |= uint64_t{(((cArr[k] >> 1) & 1) != 0) != taken}
+                          << (l + k);
+            }
+        }
     }
+    return missed;
 }
 
 template <class Vec>
-void
+uint64_t
 BimodalPredictor::FusedGroup::stepVec(const BranchSnapshot &snap,
                                       bool taken, uint64_t *misp)
 {
     constexpr size_t kW = Vec::kLanes;
     const Vec one(1);
     const Vec pcv(snap.pc >> 2);
+    uint64_t missed = 0;
     for (size_t l = 0; l < paddedLanes_; l += kW) {
         const Vec idx = pcv & Vec::load(&idxMask_[l]);
         const Vec waddr =
@@ -357,7 +393,14 @@ BimodalPredictor::FusedGroup::stepVec(const BranchSnapshot &snap,
             misp[l + k] +=
                 (((cArr[k] >> 1) & 1) != 0) != taken;
         }
+        if (eventWalk_) {
+            for (size_t k = 0; k < real; ++k) {
+                missed |= uint64_t{(((cArr[k] >> 1) & 1) != 0) != taken}
+                          << (l + k);
+            }
+        }
     }
+    return missed;
 }
 
 } // namespace ev8

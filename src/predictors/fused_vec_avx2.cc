@@ -23,25 +23,25 @@ using Avx2Vec = simd::U64x4Avx2;
 using Avx2Vec = simd::U64x4;
 #endif
 
-void
+uint64_t
 TwoBcGskewPredictor::FusedGroup::stepVecAvx2(const BranchSnapshot &snap,
                                              bool taken, uint64_t *misp)
 {
-    stepVec<Avx2Vec>(snap, taken, misp);
+    return stepVec<Avx2Vec>(snap, taken, misp);
 }
 
-void
+uint64_t
 GsharePredictor::FusedGroup::stepVecAvx2(const BranchSnapshot &snap,
                                          bool taken, uint64_t *misp)
 {
-    stepVec<Avx2Vec>(snap, taken, misp);
+    return stepVec<Avx2Vec>(snap, taken, misp);
 }
 
-void
+uint64_t
 BimodalPredictor::FusedGroup::stepVecAvx2(const BranchSnapshot &snap,
                                           bool taken, uint64_t *misp)
 {
-    stepVec<Avx2Vec>(snap, taken, misp);
+    return stepVec<Avx2Vec>(snap, taken, misp);
 }
 
 } // namespace ev8

@@ -11,25 +11,25 @@
 namespace ev8
 {
 
-void
+uint64_t
 TwoBcGskewPredictor::FusedGroup::stepVecScalar(const BranchSnapshot &snap,
                                                bool taken, uint64_t *misp)
 {
-    stepVec<simd::U64x4>(snap, taken, misp);
+    return stepVec<simd::U64x4>(snap, taken, misp);
 }
 
-void
+uint64_t
 GsharePredictor::FusedGroup::stepVecScalar(const BranchSnapshot &snap,
                                            bool taken, uint64_t *misp)
 {
-    stepVec<simd::U64x4>(snap, taken, misp);
+    return stepVec<simd::U64x4>(snap, taken, misp);
 }
 
-void
+uint64_t
 BimodalPredictor::FusedGroup::stepVecScalar(const BranchSnapshot &snap,
                                             bool taken, uint64_t *misp)
 {
-    stepVec<simd::U64x4>(snap, taken, misp);
+    return stepVec<simd::U64x4>(snap, taken, misp);
 }
 
 } // namespace ev8

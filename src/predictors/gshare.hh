@@ -66,23 +66,30 @@ class GsharePredictor final : public ConditionalBranchPredictor
     class FusedGroup
     {
       public:
-        FusedGroup(GsharePredictor *const *preds, size_t nlanes);
+        FusedGroup(GsharePredictor *const *preds, size_t nlanes,
+                   bool event_walk);
         FusedGroup(const FusedGroup &) = delete;
         FusedGroup &operator=(const FusedGroup &) = delete;
 
-        /** Advances every lane over one branch; tallies into misp[l]. */
-        void step(const BranchSnapshot &snap, bool taken, uint64_t *misp);
+        /**
+         * Advances every lane over one branch; tallies into misp[l].
+         * Event-walk groups (built with event_walk) return the lanes
+         * that mispredicted (bit l = lane l); the others may return 0.
+         */
+        uint64_t step(const BranchSnapshot &snap, bool taken,
+                      uint64_t *misp);
 
       private:
         template <class Vec>
-        void stepVec(const BranchSnapshot &snap, bool taken,
-                     uint64_t *misp);
-        void stepVecScalar(const BranchSnapshot &snap, bool taken,
-                           uint64_t *misp);
-        void stepVecAvx2(const BranchSnapshot &snap, bool taken,
+        uint64_t stepVec(const BranchSnapshot &snap, bool taken,
                          uint64_t *misp);
+        uint64_t stepVecScalar(const BranchSnapshot &snap, bool taken,
+                               uint64_t *misp);
+        uint64_t stepVecAvx2(const BranchSnapshot &snap, bool taken,
+                             uint64_t *misp);
 
         simd::Backend backend_ = simd::Backend::Off;
+        bool eventWalk_ = false;
         std::vector<GsharePredictor *> lanes_;
         size_t paddedLanes_ = 0;
         //! Per lane (padded; padding aliases lane 0, never written):

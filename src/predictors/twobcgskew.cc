@@ -156,7 +156,8 @@ TwoBcGskewPredictor::update(const BranchSnapshot &snap, bool taken, bool)
 }
 
 TwoBcGskewPredictor::FusedGroup::FusedGroup(
-    TwoBcGskewPredictor *const *preds, size_t nlanes)
+    TwoBcGskewPredictor *const *preds, size_t nlanes, bool event_walk)
+    : eventWalk_(event_walk)
 {
     lanes_.assign(preds, preds + nlanes);
     statsOn_.resize(nlanes);
@@ -315,16 +316,15 @@ TwoBcGskewPredictor::FusedGroup::~FusedGroup()
     }
 }
 
-void
+uint64_t
 TwoBcGskewPredictor::FusedGroup::step(const BranchSnapshot &snap,
                                       bool taken, uint64_t *misp)
 {
     if (backend_ == simd::Backend::Off)
-        stepScalar(snap, taken, misp);
-    else if (backend_ == simd::Backend::Avx2)
-        stepVecAvx2(snap, taken, misp);
-    else
-        stepVecScalar(snap, taken, misp);
+        return stepScalar(snap, taken, misp);
+    if (backend_ == simd::Backend::Avx2)
+        return stepVecAvx2(snap, taken, misp);
+    return stepVecScalar(snap, taken, misp);
 }
 
 uint16_t
@@ -353,7 +353,7 @@ TwoBcGskewPredictor::FusedGroup::histSlot(uint8_t table, uint8_t n,
     return static_cast<uint16_t>(histSlots_.size() - 1);
 }
 
-void
+uint64_t
 TwoBcGskewPredictor::FusedGroup::stepScalar(const BranchSnapshot &snap,
                                             bool taken, uint64_t *misp)
 {
@@ -417,6 +417,7 @@ TwoBcGskewPredictor::FusedGroup::stepScalar(const BranchSnapshot &snap,
 
     // Per-lane remainder: assemble the four indices from the shared
     // terms, then vote, note and train exactly as predict(); update().
+    uint64_t missed = 0;
     for (size_t l = 0; l < lanes_.size(); ++l) {
         TwoBcGskewPredictor &p = *lanes_[l];
         const std::array<uint16_t, kNumTables> &as = laneAddr_[l];
@@ -453,8 +454,11 @@ TwoBcGskewPredictor::FusedGroup::stepScalar(const BranchSnapshot &snap,
             gskewPartialUpdate(facade, look, taken);
         else
             gskewTotalUpdate(facade, look, taken);
-        misp[l] += look.overall != taken;
+        const bool miss = look.overall != taken;
+        misp[l] += miss;
+        missed |= uint64_t{miss} << l;
     }
+    return missed;
 }
 
 uint64_t

@@ -123,14 +123,21 @@ class TwoBcGskewPredictor final : public ConditionalBranchPredictor
      * index width) term once per branch and each distinct (table,
      * width, history length) history term once per branch, instead of
      * once per lane; in a history sweep the address side collapses from
-     * 4*nlanes computations to 4. Table transitions, cached lookup
-     * state and statistics are exactly those of a per-lane predict();
-     * update() pair.
+     * 4*nlanes computations to 4. Table transitions and statistics are
+     * exactly those of a per-lane predict(); update() pair.
+     *
+     * A group built with @p event_walk (the kernel's event walks)
+     * reports which lanes each step mispredicted, and after a
+     * mispredicting step a lane's lastVotes() returns that branch's
+     * votes. The scalar stepper always caches the full lookup; the
+     * vector steppers write back only the mispredicting lanes' votes,
+     * and only on event walks.
      */
     class FusedGroup
     {
       public:
-        FusedGroup(TwoBcGskewPredictor *const *preds, size_t nlanes);
+        FusedGroup(TwoBcGskewPredictor *const *preds, size_t nlanes,
+                   bool event_walk);
 
         // The vector staging below holds absolute pointers into this
         // object's own slot-value arrays; copying would silently alias
@@ -144,8 +151,13 @@ class TwoBcGskewPredictor final : public ConditionalBranchPredictor
         //! scalar stepping, which notes per step).
         ~FusedGroup();
 
-        /** Advances every lane over one branch; tallies into misp[l]. */
-        void step(const BranchSnapshot &snap, bool taken, uint64_t *misp);
+        /**
+         * Advances every lane over one branch; tallies into misp[l].
+         * Event-walk groups return the lanes that mispredicted (bit l =
+         * lane l); the others may return 0.
+         */
+        uint64_t step(const BranchSnapshot &snap, bool taken,
+                      uint64_t *misp);
 
       private:
         /** One distinct address-side index term H^table(fold(addr)). */
@@ -170,8 +182,8 @@ class TwoBcGskewPredictor final : public ConditionalBranchPredictor
         uint16_t histSlot(uint8_t table, uint8_t n, uint8_t len);
 
         /** The pre-vector per-lane stepper; EV8_SIMD=0 keeps it hot. */
-        void stepScalar(const BranchSnapshot &snap, bool taken,
-                        uint64_t *misp);
+        uint64_t stepScalar(const BranchSnapshot &snap, bool taken,
+                            uint64_t *misp);
 
         /**
          * The vector stepper, templated over a simd.hh vector type.
@@ -182,12 +194,12 @@ class TwoBcGskewPredictor final : public ConditionalBranchPredictor
          * into TUs built without -mavx2.
          */
         template <class Vec>
-        void stepVec(const BranchSnapshot &snap, bool taken,
-                     uint64_t *misp);
-        void stepVecScalar(const BranchSnapshot &snap, bool taken,
-                           uint64_t *misp);
-        void stepVecAvx2(const BranchSnapshot &snap, bool taken,
+        uint64_t stepVec(const BranchSnapshot &snap, bool taken,
                          uint64_t *misp);
+        uint64_t stepVecScalar(const BranchSnapshot &snap, bool taken,
+                               uint64_t *misp);
+        uint64_t stepVecAvx2(const BranchSnapshot &snap, bool taken,
+                             uint64_t *misp);
 
         /** Builds the padded SoA staging the vector stepper consumes. */
         void buildVectorState();
@@ -238,6 +250,8 @@ class TwoBcGskewPredictor final : public ConditionalBranchPredictor
         std::array<std::vector<uint64_t>, kNumTables> idxS_;
         std::vector<uint64_t> ovrS_;
         bool anyStats_ = false;
+        //! Event walk: report mispredicting lanes, keep their votes.
+        bool eventWalk_ = false;
 
         //! Per-walk vote-stat accumulators for metrics-observed
         //! vector walks: every GskewVoteStats field is a sum of 0/1

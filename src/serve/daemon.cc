@@ -78,7 +78,8 @@ ServeDaemon::listen(std::string &err)
 bool
 ServeDaemon::stopRequested() const
 {
-    return opts_.stopFlag != nullptr && *opts_.stopFlag != 0;
+    return opts_.stopFlag != nullptr
+        && opts_.stopFlag->load(std::memory_order_relaxed) != 0;
 }
 
 void

@@ -38,7 +38,6 @@
 #define EV8_SERVE_DAEMON_HH
 
 #include <atomic>
-#include <csignal>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -48,6 +47,16 @@
 
 namespace ev8
 {
+
+/**
+ * The external stop flag: written from a signal handler (or another
+ * thread) and polled by the accept loop. A lock-free atomic is both
+ * async-signal-safe to store and race-free to read across threads,
+ * which a volatile sig_atomic_t is not.
+ */
+using DaemonStopFlag = std::atomic<int>;
+static_assert(DaemonStopFlag::is_always_lock_free,
+              "the stop flag must be async-signal-safe");
 
 struct DaemonOptions
 {
@@ -70,10 +79,10 @@ struct DaemonOptions
 
     /**
      * Optional external stop flag, polled every tick -- bench_serve
-     * points this at the sig_atomic_t its SIGTERM/SIGINT handler sets.
+     * points this at the flag its SIGTERM/SIGINT handler sets.
      * Non-zero requests a graceful drain.
      */
-    const volatile std::sig_atomic_t *stopFlag = nullptr;
+    const DaemonStopFlag *stopFlag = nullptr;
 };
 
 class ServeDaemon

@@ -147,10 +147,13 @@ CellExecutor::runFused(const std::vector<size_t> &cells,
     const bool want_metrics = lead.wantMetrics;
 
     // The pc -> behaviour-class map is a function of the benchmark
-    // alone: build it once per group, copy per event-carrying cell.
-    BranchClassMap classes;
-    if (want_events)
-        classes = SyntheticProgram(*lead.profile).condBranchClasses();
+    // alone: build it once per group, share it with every
+    // event-carrying cell.
+    std::shared_ptr<const BranchClassMap> classes;
+    if (want_events) {
+        classes = std::make_shared<const BranchClassMap>(
+            SyntheticProgram(*lead.profile).condBranchClasses());
+    }
 
     std::vector<PredictorPtr> predictors;
     predictors.reserve(cells.size());

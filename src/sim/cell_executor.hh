@@ -37,6 +37,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -58,7 +59,9 @@ struct CellOutput
     BenchResult result;
     MetricRegistry metrics;
     std::vector<MispredictEvent> events;
-    BranchClassMap classes; //!< owned here: cannot dangle (cell-local)
+    //! The benchmark's pc -> class map, shared by the cells of one
+    //! benchmark (a shared owner, so it cannot dangle).
+    std::shared_ptr<const BranchClassMap> classes;
     bool failed = false;    //!< exhausted its retry budget
     unsigned attempts = 0;
     std::string error;      //!< what() of the last failed attempt

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -400,8 +401,8 @@ ExperimentEngine::runGrid(SuiteRunner &runner,
         ScopedSpan setup(SpanPhase::GridSetup, "grid.setup:restore");
         setup.arg("batch", batch);
         setup.arg("cells", static_cast<uint64_t>(n));
-        std::vector<BranchClassMap> classCache(nbench);
-        std::vector<char> haveClass(nbench, 0);
+        std::vector<std::shared_ptr<const BranchClassMap>> classCache(
+            nbench);
         auto restoredCells = checkpoint.load();
         for (auto &[i, cell] : restoredCells) {
             CellOutput &out = outputs[i];
@@ -410,11 +411,10 @@ ExperimentEngine::runGrid(SuiteRunner &runner,
             out.events = std::move(cell.events);
             if (rows[i / nbench].config.events) {
                 const size_t b = i % nbench;
-                if (!haveClass[b]) {
-                    classCache[b] =
+                if (!classCache[b]) {
+                    classCache[b] = std::make_shared<const BranchClassMap>(
                         SyntheticProgram(specint95Suite()[b].profile)
-                            .condBranchClasses();
-                    haveClass[b] = 1;
+                            .condBranchClasses());
                 }
                 out.classes = classCache[b];
             }
@@ -499,9 +499,8 @@ ExperimentEngine::runGrid(SuiteRunner &runner,
             row.config.metrics->merge(out.metrics);
         if (MispredictSink *sink = row.config.events) {
             sink->setBench(out.result.bench);
-            sink->setClassifier(&out.classes);
-            for (const MispredictEvent &event : out.events)
-                sink->onMispredict(event);
+            sink->setClassifier(out.classes.get());
+            sink->onMispredicts(out.events.data(), out.events.size());
             sink->setClassifier(nullptr);
         }
         outcome.results[i / nbench].push_back(std::move(out.result));

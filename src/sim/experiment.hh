@@ -16,10 +16,10 @@
  *    after the batch, the engine folds them into the caller's shared
  *    sinks in submission order -- counters add, gauges last-write-win
  *    in the same order a serial loop would have written them, and
- *    buffered misprediction events replay through the shared sampling
+ *    buffered misprediction events are offered to the shared sampling
  *    sink so the emitted JSONL is byte-identical to a serial run;
- *  - each job owns its benchmark's BranchClassMap (the pc -> behaviour
- *    class labels), so no classifier ever outlives or escapes its job.
+ *  - each job shares ownership of its benchmark's BranchClassMap (the
+ *    pc -> behaviour class labels), so no classifier ever dangles.
  *
  * The pool is the calling thread plus (jobs - 1) workers; jobs = 1
  * degenerates to a plain serial loop with no threads, and any larger

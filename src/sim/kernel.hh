@@ -23,12 +23,24 @@
  * Predictor = ConditionalBranchPredictor, so specialized and generic
  * runs cannot drift apart.
  *
- * The Single shape is the one-lane walk (a per-cell simulation): the
- * dispatcher picks it when nlanes == 1, and it calls predict()/update()
- * on a hoisted predictor pointer with a local mispredict tally instead
- * of building a FusedGroup. Multi-lane walks step the lanes through the
- * strongest protocol the predictor class offers: a FusedGroup stepper,
- * then predictAndUpdate(), then plain predict()/update().
+ * Every instantiation steps lanes through the strongest protocol the
+ * predictor class offers: the Single shape (nlanes == 1: predict() /
+ * update() on a hoisted pointer with a local mispredict tally), else a
+ * FusedGroup stepper, then predictAndUpdate(), then plain
+ * predict()/update(). Observation rides on that one path as two cheap
+ * hooks:
+ *
+ *  - Events: after each branch, every sink-carrying lane that
+ *    mispredicted emits an event carrying lastVotes() (group steppers
+ *    report the mispredicting lanes as a mask). The protocol contract
+ *    is that after a mispredicting step lastVotes() returns that
+ *    branch's predict-time votes.
+ *  - Timing: one fetch block in kTimingSamplePeriod (by absolute block
+ *    index) runs each branch as predict-all-lanes under one clock pair
+ *    and update-all-lanes under another -- state-identical to a step,
+ *    since lanes are independent predictor instances -- and its history
+ *    advance under a third. Call counts stay exact; the measured
+ *    nanoseconds are extrapolated by the sampled fraction.
  *
  * The exact walk is the windowed runner over one window covering the
  * whole stream with no warmup; the sampled walk runs a SamplePlan's
@@ -40,6 +52,7 @@
 #define EV8_SIM_KERNEL_HH
 
 #include <array>
+#include <bit>
 #include <cassert>
 #include <concepts>
 #include <cstddef>
@@ -52,6 +65,7 @@
 #include "frontend/lghist.hh"
 #include "obs/event_trace.hh"
 #include "obs/timer.hh"
+#include "obs/trace_span.hh"
 #include "sim/block_stream.hh"
 #include "sim/phase/sample_plan.hh"
 #include "sim/simulator.hh"
@@ -92,10 +106,13 @@ struct SampledWindowTally
     uint64_t mispredictions = 0;
 };
 
-/** Builds the sampled-trace record for one misprediction. */
+/**
+ * Builds the lane-independent part of the record for a misprediction
+ * of the branch at @p snap (the votes are set per lane).
+ */
 inline MispredictEvent
 makeMispredictEvent(uint64_t branch_seq, const BranchSnapshot &snap,
-                    bool taken, bool predicted, const VoteSnapshot &votes)
+                    bool taken)
 {
     MispredictEvent ev;
     ev.branchSeq = branch_seq;
@@ -105,14 +122,20 @@ makeMispredictEvent(uint64_t branch_seq, const BranchSnapshot &snap,
     ev.indexHist = snap.hist.indexHist;
     ev.bank = snap.bank;
     ev.taken = taken;
-    ev.predicted = predicted;
+    ev.predicted = !taken;
+    return ev;
+}
+
+/** Copies one lane's predict-time votes into @p ev. */
+inline void
+setEventVotes(MispredictEvent &ev, const VoteSnapshot &votes)
+{
     ev.votesValid = votes.valid;
     ev.voteBim = votes.bim;
     ev.voteG0 = votes.g0;
     ev.voteG1 = votes.g1;
     ev.voteMeta = votes.meta;
     ev.voteMajority = votes.majority;
-    return ev;
 }
 
 /**
@@ -130,16 +153,19 @@ concept FusedSteppable = requires(P p, const BranchSnapshot &snap) {
  * predictor class exposes a FusedGroup stepper that advances every lane
  * of a fused job in one call, sharing cross-lane index arithmetic that
  * the per-lane entry points cannot see (all lanes of a group observe
- * the same BranchSnapshot). Constructed once per walk, checked before
- * the per-lane entry points on the untimed, event-free fast path.
+ * the same BranchSnapshot). Constructed once per multi-lane walk and
+ * checked before the per-lane entry points. The trailing `bool` marks
+ * an event walk: its steps return the mispredicting lanes, whose
+ * lastVotes() then hold that branch's votes. Other walks skip that
+ * bookkeeping.
  */
 template <class P>
 concept FusedGroupStepped = requires(typename P::FusedGroup &group,
                                      const BranchSnapshot &snap,
                                      uint64_t *misp) {
     requires std::constructible_from<typename P::FusedGroup, P *const *,
-                                     size_t>;
-    { group.step(snap, true, misp) } -> std::same_as<void>;
+                                     size_t, bool>;
+    { group.step(snap, true, misp) } -> std::same_as<uint64_t>;
 };
 
 /** One lane of a fused run: where its results and events go. */
@@ -199,8 +225,10 @@ checkFusedLanes(const FusedLaneState<Predictor> *lanes, size_t nlanes)
  * lghist, the last-three-blocks path registers, and the bank-number
  * recurrence. The walk tallies (fetchBlocks, condBranches, lghistBits,
  * branchesPerBlock) are computed once and added into every lane's
- * result; the per-block history advance is timed once and merged into
- * every lane with the call count a one-lane walk records.
+ * result. Timed walks add exact call counts (condBranches lookups and
+ * updates, fetchBlocks history advances) and sampled, extrapolated
+ * nanoseconds; a lane's lookup/update share is the group's time over
+ * the lane count, and the history time is the one shared advance.
  */
 template <class Predictor, bool LghistMode, bool Timed, bool HasEvents,
           bool Single>
@@ -223,15 +251,13 @@ runFusedStreamKernelRange(const BlockStream &stream,
     Predictor *const single = lanes[0].predictor;
     uint64_t single_misp = 0;
 
-    // Group stepper, built once per walk; only the untimed, event-free
-    // multi-lane instantiations of group-steppable predictors use it
-    // (the observed paths need per-lane calls for timers and events).
+    // Group stepper, built once per multi-lane walk of a
+    // group-steppable predictor class.
     auto group = [&] {
-        if constexpr (!(Timed || HasEvents || Single)
-                      && FusedGroupStepped<Predictor>)
-            return typename Predictor::FusedGroup(preds, n);
-        else
+        if constexpr (Single || !FusedGroupStepped<Predictor>)
             return 0;
+        else
+            return typename Predictor::FusedGroup(preds, n, HasEvents);
     }();
     (void)group;
 
@@ -249,7 +275,18 @@ runFusedStreamKernelRange(const BlockStream &stream,
     uint64_t fetch_blocks = 0, cond_branches = 0, lghist_bits = 0;
     uint64_t branch_seq = branch_seq_base;
     std::array<uint64_t, 9> per_block{};
-    TimingStat hist_time;
+
+    // Sampled timing: clock totals over the timed blocks only, and the
+    // branches/blocks they covered.
+    uint64_t lookup_ns = 0, update_ns = 0, hist_ns = 0;
+    uint64_t timed_branches = 0, timed_blocks = 0;
+
+    // Event walks emit for the sink-carrying lanes among each step's
+    // mispredicting ones (lane masks, bit l = lane l).
+    static_assert(kMaxFusedLanes <= 64, "lane masks are one word");
+    uint64_t sink_lanes = 0;
+    for (size_t l = 0; l < n; ++l)
+        sink_lanes |= uint64_t{lanes[l].events != nullptr} << l;
 
     BranchSnapshot snap;
     for (size_t b = begin_block; b < end_block; ++b) {
@@ -258,6 +295,7 @@ runFusedStreamKernelRange(const BlockStream &stream,
         const uint32_t last = stream.branchBegin(b + 1);
         const unsigned nbr = last - first;
         ++per_block[nbr < per_block.size() ? nbr : per_block.size() - 1];
+        const bool timed_block = Timed && b % kTimingSamplePeriod == 0;
 
         const uint64_t block_addr = stream.blockAddr(b);
         snap.blockAddr = block_addr;
@@ -279,51 +317,61 @@ runFusedStreamKernelRange(const BlockStream &stream,
             snap.hist.ghist = ghist.raw();
             snap.hist.indexHist = LghistMode ? block_hist : ghist.raw();
 
-            if constexpr (Timed || HasEvents) {
-                // Observed path: per-lane timers / event emission need
-                // the split predict()/update() calls, with identical
-                // call counts per lane.
+            // The lanes that mispredicted this branch (only event walks
+            // read it; elsewhere it compiles away).
+            uint64_t missed = 0;
+            if (timed_block) {
+                bool predicted[kMaxFusedLanes];
+                const uint64_t t0 = steadyNowNs();
+                for (size_t l = 0; l < n; ++l)
+                    predicted[l] = preds[l]->predict(snap);
+                const uint64_t t1 = steadyNowNs();
+                for (size_t l = 0; l < n; ++l)
+                    preds[l]->update(snap, br_taken, predicted[l]);
+                const uint64_t t2 = steadyNowNs();
+                lookup_ns += t1 - t0;
+                update_ns += t2 - t1;
+                ++timed_branches;
                 for (size_t l = 0; l < n; ++l) {
-                    bool predicted;
-                    if constexpr (Timed) {
-                        ScopedTimer t(lanes[l].result->timing.lookup,
-                                      SpanPhase::SimLookup);
-                        predicted = preds[l]->predict(snap);
-                    } else {
-                        predicted = preds[l]->predict(snap);
-                    }
-                    lanes[l].result->stats.record(predicted, br_taken);
-                    if constexpr (HasEvents) {
-                        if (predicted != br_taken && lanes[l].events) {
-                            lanes[l].events->onMispredict(
-                                makeMispredictEvent(
-                                    branch_seq, snap, br_taken,
-                                    predicted, preds[l]->lastVotes()));
-                        }
-                    }
-                    if constexpr (Timed) {
-                        ScopedTimer t(lanes[l].result->timing.update,
-                                      SpanPhase::SimUpdate);
-                        preds[l]->update(snap, br_taken, predicted);
-                    } else {
-                        preds[l]->update(snap, br_taken, predicted);
-                    }
+                    const bool miss = predicted[l] != br_taken;
+                    (Single ? single_misp : misp[l]) += miss;
+                    missed |= uint64_t{miss} << l;
                 }
             } else if constexpr (Single) {
                 const bool predicted = single->predict(snap);
                 single->update(snap, br_taken, predicted);
                 single_misp += predicted != br_taken;
+                missed = predicted != br_taken;
             } else if constexpr (FusedGroupStepped<Predictor>) {
-                group.step(snap, br_taken, misp);
+                missed = group.step(snap, br_taken, misp);
             } else if constexpr (FusedSteppable<Predictor>) {
-                for (size_t l = 0; l < n; ++l)
-                    misp[l] += preds[l]->predictAndUpdate(snap, br_taken)
+                for (size_t l = 0; l < n; ++l) {
+                    const bool miss =
+                        preds[l]->predictAndUpdate(snap, br_taken)
                         != br_taken;
+                    misp[l] += miss;
+                    missed |= uint64_t{miss} << l;
+                }
             } else {
                 for (size_t l = 0; l < n; ++l) {
                     const bool predicted = preds[l]->predict(snap);
                     preds[l]->update(snap, br_taken, predicted);
                     misp[l] += predicted != br_taken;
+                    missed |= uint64_t{predicted != br_taken} << l;
+                }
+            }
+
+            if constexpr (HasEvents) {
+                missed &= sink_lanes;
+                if (missed != 0) {
+                    // Lanes missing the same branch share its record.
+                    MispredictEvent ev =
+                        makeMispredictEvent(branch_seq, snap, br_taken);
+                    for (; missed != 0; missed &= missed - 1) {
+                        const unsigned l = std::countr_zero(missed);
+                        setEventVotes(ev, preds[l]->lastVotes());
+                        lanes[l].events->onMispredict(ev);
+                    }
                 }
             }
 
@@ -332,24 +380,18 @@ runFusedStreamKernelRange(const BlockStream &stream,
             ++cond_branches;
         }
 
-        const auto advance_history = [&] {
-            if (nbr > 0) {
-                const uint8_t raw = stream.branchRaw(last - 1);
-                lghist.onBranchBlock(
-                    block_addr + uint64_t(raw >> 1) * kInstrBytes,
-                    (raw & 1) != 0);
-                ++lghist_bits;
-            }
-            delayed.advance(lghist.value());
-        };
-        if constexpr (Timed) {
-            // Timed once per block; merged per lane below so every
-            // lane reports the same history call count (the shared
-            // advance serves all lanes at once).
-            ScopedTimer t(hist_time, SpanPhase::SimHistory);
-            advance_history();
-        } else {
-            advance_history();
+        const uint64_t h0 = timed_block ? steadyNowNs() : 0;
+        if (nbr > 0) {
+            const uint8_t raw = stream.branchRaw(last - 1);
+            lghist.onBranchBlock(
+                block_addr + uint64_t(raw >> 1) * kInstrBytes,
+                (raw & 1) != 0);
+            ++lghist_bits;
+        }
+        delayed.advance(lghist.value());
+        if (timed_block) {
+            hist_ns += steadyNowNs() - h0;
+            ++timed_blocks;
         }
 
         path_x = path_y;
@@ -370,15 +412,40 @@ runFusedStreamKernelRange(const BlockStream &stream,
         misp[0] = single_misp;
     for (size_t l = 0; l < n; ++l) {
         SimResult &r = *lanes[l].result;
-        if constexpr (!(Timed || HasEvents))
-            r.stats.tally(cond_branches, misp[l]);
+        r.stats.tally(cond_branches, misp[l]);
         r.fetchBlocks += fetch_blocks;
         r.condBranches += cond_branches;
         r.lghistBits += lghist_bits;
         for (size_t k = 0; k < per_block.size(); ++k)
             r.branchesPerBlock[k] += per_block[k];
-        if constexpr (Timed)
-            r.timing.history.merge(hist_time);
+        if constexpr (Timed) {
+            r.timing.lookup.calls += cond_branches;
+            r.timing.lookup.ns += extrapolateNs(
+                lookup_ns, timed_branches, cond_branches, n);
+            r.timing.update.calls += cond_branches;
+            r.timing.update.ns += extrapolateNs(
+                update_ns, timed_branches, cond_branches, n);
+            r.timing.history.calls += fetch_blocks;
+            r.timing.history.ns +=
+                extrapolateNs(hist_ns, timed_blocks, fetch_blocks);
+        }
+    }
+    if constexpr (Timed) {
+        SpanTracer &tracer = SpanTracer::global();
+        if (tracer.enabled()) {
+            tracer.addPhase(
+                SpanPhase::SimLookup,
+                extrapolateNs(lookup_ns, timed_branches, cond_branches),
+                n * cond_branches);
+            tracer.addPhase(
+                SpanPhase::SimUpdate,
+                extrapolateNs(update_ns, timed_branches, cond_branches),
+                n * cond_branches);
+            tracer.addPhase(
+                SpanPhase::SimHistory,
+                extrapolateNs(hist_ns, timed_blocks, fetch_blocks),
+                fetch_blocks);
+        }
     }
 }
 

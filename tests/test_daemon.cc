@@ -23,7 +23,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -79,7 +78,7 @@ class LiveDaemon
 {
   public:
     explicit LiveDaemon(ServeLimits limits, uint64_t drain_ms = 5000,
-                        const volatile std::sig_atomic_t *stop = nullptr)
+                        const DaemonStopFlag *stop = nullptr)
         : server_(limits, /*jobs=*/2)
     {
         path_ = dir_.file("daemon.sock");
@@ -373,8 +372,7 @@ TEST(Daemon, ExternalStopDrainsInFlightAndRefusesNewSessions)
     ScopedEnv noFault("EV8_FAULT_SPEC", nullptr);
     ScopedEnv noCkpt("EV8_CHECKPOINT_DIR", nullptr);
 
-    static volatile std::sig_atomic_t stop;
-    stop = 0;
+    DaemonStopFlag stop{0};
     LiveDaemon live(ServeLimits{}, /*drain_ms=*/30000, &stop);
 
     Client worker(live);
@@ -382,7 +380,7 @@ TEST(Daemon, ExternalStopDrainsInFlightAndRefusesNewSessions)
     worker.callOk(opLine("start", "inflight"));
 
     Client late(live); // connected before the stop, open comes after
-    stop = 1;
+    stop.store(1);
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
 
     // Admission is closed with a typed refusal...

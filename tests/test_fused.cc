@@ -5,14 +5,18 @@
  * *exactly* what N independent one-lane walks produce, for any lane
  * mix and any lane cap (EV8_FUSED_LANES=1 is the per-cell grid), down
  * to the bytes of the merged metric registry and the sampled event
- * stream; and that every one-lane walk matches the generic-kernel
- * reference in the exact, sampled, timed and event-emitting modes.
+ * stream; that every one-lane walk matches the generic-kernel
+ * reference in the exact, sampled, timed and event-emitting modes; and
+ * that timed and event-emitting walks through the group steppers match
+ * it too, at every lane count and SIMD backend.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <memory>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,7 +25,11 @@
 #include "obs/event_trace.hh"
 #include "obs/export.hh"
 #include "obs/metrics.hh"
+#include "obs/timer.hh"
+#include "predictors/bimodal.hh"
 #include "predictors/factory.hh"
+#include "predictors/gshare.hh"
+#include "predictors/twobcgskew.hh"
 #include "sim/block_stream.hh"
 #include "serve/grids.hh"
 #include "sim/cell_executor.hh"
@@ -237,6 +245,162 @@ TEST(FusedKernel, SingleLaneMatchesSimulateStream)
                 }
                 if (mode == WalkMode::Events) {
                     EXPECT_FALSE(run.eventsJsonl.empty()) << label;
+                }
+            }
+        }
+    }
+}
+
+/** Builds lane @p l of a same-family multi-lane walk. */
+using LaneFactory = std::function<PredictorPtr(size_t)>;
+
+/**
+ * The group-stepped families, each with per-lane geometry so that the
+ * lanes of one walk differ: 2Bc-gskew under both update policies (odd
+ * lanes hash the path registers too), gshare and bimodal.
+ */
+std::vector<std::pair<std::string, LaneFactory>>
+groupFamilies()
+{
+    const auto gskew = [](bool partial) {
+        return [partial](size_t l) -> PredictorPtr {
+            const unsigned h = static_cast<unsigned>(l);
+            TwoBcGskewConfig cfg = TwoBcGskewConfig::symmetric(
+                10 + h % 3, 0, 4 + h, 6 + h, 9 + 2 * h, "gskew");
+            cfg.partialUpdate = partial;
+            cfg.usePathInfo = l % 2 == 1;
+            return std::make_unique<TwoBcGskewPredictor>(cfg);
+        };
+    };
+    return {
+        {"2bcgskew-partial", gskew(true)},
+        {"2bcgskew-total", gskew(false)},
+        {"gshare",
+         [](size_t l) -> PredictorPtr {
+             const unsigned h = static_cast<unsigned>(l);
+             return std::make_unique<GsharePredictor>(10 + h % 3,
+                                                      4 + 2 * h);
+         }},
+        {"bimodal",
+         [](size_t l) -> PredictorPtr {
+             return std::make_unique<BimodalPredictor>(
+                 8 + static_cast<unsigned>(l));
+         }},
+    };
+}
+
+/** Zeroes the wall-clock sim.time.* nanosecond metrics of a registry. */
+std::string
+maskTimingNs(const std::string &json)
+{
+    static const std::regex ns(
+        R"(("sim\.time\.[a-z]+\.ns(_per_call)?":\s*)[-0-9.eE+]+)");
+    return std::regex_replace(json, ns, "${1}0");
+}
+
+/** Per-lane artifacts of one multi-lane walk. */
+struct MultiLaneRun
+{
+    std::vector<SimResult> results;
+    std::vector<std::string> metricsJson;
+    std::vector<std::string> eventsJsonl;
+};
+
+MultiLaneRun
+runLanes(const BlockStream &stream, const LaneFactory &make,
+         size_t nlanes, SimConfig config, WalkMode mode)
+{
+    std::vector<PredictorPtr> preds;
+    std::vector<std::unique_ptr<MetricRegistry>> regs;
+    std::vector<std::ostringstream> events(nlanes);
+    std::vector<std::unique_ptr<EventTraceSink>> sinks;
+    std::vector<FusedLane> lanes;
+    for (size_t l = 0; l < nlanes; ++l) {
+        preds.push_back(make(l));
+        regs.push_back(std::make_unique<MetricRegistry>());
+        sinks.push_back(std::make_unique<EventTraceSink>(events[l], 1));
+        lanes.push_back({preds.back().get(), regs.back().get(),
+                         mode == WalkMode::Events ? sinks.back().get()
+                                                  : nullptr});
+    }
+    config.profileTiming = mode == WalkMode::Timed;
+    MultiLaneRun run;
+    run.results = simulateStreamFused(stream, lanes, config);
+    for (size_t l = 0; l < nlanes; ++l) {
+        std::ostringstream json;
+        writeRegistryJson(json, *regs[l]);
+        run.metricsJson.push_back(maskTimingNs(json.str()));
+        run.eventsJsonl.push_back(events[l].str());
+    }
+    return run;
+}
+
+/**
+ * Observed walks ride the group steppers: timed and event-emitting
+ * walks of 1, 3, 4, 5 and 8 same-family lanes, on every SIMD backend,
+ * emit exactly the events (votes included) and metrics of the
+ * forced-generic per-lane walk. Timing keeps exact call counts and
+ * measures something on a stream that has timed blocks.
+ */
+TEST(FusedKernel, ObservedGroupWalksMatchGenericWalk)
+{
+    const BlockStream stream = decodeBlockStream(
+        generateTrace(findBenchmark("gcc").profile, 8000));
+    ASSERT_GT(stream.blocks(), kTimingSamplePeriod);
+
+    std::vector<const char *> backends{"0", "scalar"};
+    if (simd::builtWithAvx2() && simd::cpuHasAvx2())
+        backends.push_back("avx2");
+    for (const char *backend : backends) {
+        ScopedEnv simd_env("EV8_SIMD", backend);
+        for (const SimConfig &base :
+             {SimConfig::ghist(), SimConfig::ev8()}) {
+            SimConfig generic = base;
+            generic.forceGenericKernel = true;
+            for (const auto &[family, make] : groupFamilies()) {
+                for (const size_t nlanes : {1, 3, 4, 5, 8}) {
+                    for (const WalkMode mode :
+                         {WalkMode::Timed, WalkMode::Events}) {
+                        const std::string label = family + " x"
+                            + std::to_string(nlanes) + " simd="
+                            + backend
+                            + (mode == WalkMode::Timed ? " timed"
+                                                       : " events")
+                            + (base.assignBanks ? " ev8" : " ghist");
+                        const MultiLaneRun run =
+                            runLanes(stream, make, nlanes, base, mode);
+                        const MultiLaneRun ref = runLanes(
+                            stream, make, nlanes, generic, mode);
+                        for (size_t l = 0; l < nlanes; ++l) {
+                            const std::string lane =
+                                label + " lane " + std::to_string(l);
+                            const SimResult &r = run.results[l];
+                            expectSameResult(r, ref.results[l], lane);
+                            EXPECT_EQ(run.metricsJson[l],
+                                      ref.metricsJson[l])
+                                << lane;
+                            EXPECT_EQ(run.eventsJsonl[l],
+                                      ref.eventsJsonl[l])
+                                << lane;
+                            if (mode == WalkMode::Events) {
+                                EXPECT_FALSE(run.eventsJsonl[l].empty())
+                                    << lane;
+                                continue;
+                            }
+                            EXPECT_EQ(r.timing.lookup.calls,
+                                      r.condBranches)
+                                << lane;
+                            EXPECT_EQ(r.timing.update.calls,
+                                      r.condBranches)
+                                << lane;
+                            EXPECT_EQ(r.timing.history.calls,
+                                      r.fetchBlocks)
+                                << lane;
+                            EXPECT_GT(r.timing.lookup.ns, 0u) << lane;
+                            EXPECT_GT(r.timing.update.ns, 0u) << lane;
+                            EXPECT_GT(r.timing.history.ns, 0u) << lane;
+                        }
+                    }
                 }
             }
         }
