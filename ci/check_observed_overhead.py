@@ -7,14 +7,17 @@ Times bench_fig5_schemes and bench_fig6_history_length in two modes:
    misprediction event sink all on -- what every artifact run does);
  * plain:    --json --no-timing.
 
-It fails when the median observed wall exceeds --max-ratio times the
+It fails when the median observed wall exceeds MAX_RATIO times the
 median plain wall, for either bench, and prints the measured ratios.
-The default, 1.6, sits above what a 4-core AVX2 VM measures at 250K
-branches (fig5 ~1.2x, fig6 ~1.4-1.5x; the engine still buffers every
-misprediction of every cell until the submission-order merge, and fig6
-has 4M of them) and far below the per-lane observed fallback this gate
-exists to keep out (5.5x and 8.6x). It also checks that observing
-changes no result:
+MAX_RATIO is an interim 1.6, not the 1.25 this guard is meant to hold:
+five runs of this script on a 4-core AVX2 VM read fig5 at 1.23-1.38
+and fig6 at 1.39-1.50 (the same binaries vary by up to 50% between
+passes there). Most of the remainder is fig6's serial merge of 4.2M
+buffered mispredictions into the JSONL sink (EXPERIMENTS.md
+"Observed walks"; ROADMAP item 2 tracks it, and the bound's
+re-derivation on the CI runner). 1.6 stays far below the per-lane
+observed fallback this guard exists to keep out (5.5x and 8.6x). It
+also checks that observing changes no result:
 
  * the CSVs of the two modes are byte-identical;
  * the JSONs are byte-identical once the wall-clock members are masked
@@ -28,7 +31,7 @@ changes no result:
 Methodology, tuned for noisy shared runners: a throwaway warm-up run
 per bench fills a private trace cache so trace synthesis lands on no
 mode; modes then alternate observed, plain, plain, observed, ... so
-slow machine drift cancels; each mode's median over --repeats runs is
+slow machine drift cancels; each mode's median over REPEATS runs is
 compared.
 
 --report writes a JSON summary with the raw samples, the ratios and the
@@ -36,7 +39,6 @@ verdict; CI uploads it with the run artifacts.
 
 Usage:
     check_observed_overhead.py --bench-dir build/bench \\
-        [--branches 250000] [--repeats 5] [--max-ratio 1.6] \\
         [--report OBSERVED_overhead_report.json]
 """
 
@@ -54,15 +56,18 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from strip_telemetry import mask_member, mask_timing_dependent  # noqa: E402
 
 BENCHES = ("bench_fig5_schemes", "bench_fig6_history_length")
+BRANCHES = 250000
+REPEATS = 5
+MAX_RATIO = 1.6
 
 SIM_TIME_MEMBER = re.compile(r'"sim\.time\.[^"]*":\s*[-0-9.eE+]+')
 
 
-def run_once(bench, branches, mode, workdir, tag):
+def run_once(bench, mode, workdir, tag):
     """One bench run; returns (seconds, json_path, csv_path)."""
     paths = {k: os.path.join(workdir, f"{tag}.{k}")
              for k in ("json", "csv", "jsonl")}
-    cmd = [bench, f"--branches={branches}", "--quiet",
+    cmd = [bench, f"--branches={BRANCHES}", "--quiet",
            f"--json={paths['json']}", f"--csv={paths['csv']}"]
     if mode == "observed":
         cmd.append(f"--events={paths['jsonl']}")
@@ -118,31 +123,25 @@ def main():
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--bench-dir", required=True,
                         help="directory holding the bench binaries")
-    parser.add_argument("--branches", type=int, default=250000)
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--max-ratio", type=float, default=1.6,
-                        help="fail when observed/plain median wall "
-                             "exceeds this")
     parser.add_argument("--report", default=None,
                         help="write a JSON measurement report here")
     args = parser.parse_args()
 
-    report = {"branches": args.branches, "repeats": args.repeats,
-              "max_ratio": args.max_ratio, "benches": {}}
+    report = {"branches": BRANCHES, "repeats": REPEATS,
+              "max_ratio": MAX_RATIO, "benches": {}}
     failed = False
     with tempfile.TemporaryDirectory(prefix="observed_overhead_") as wd:
         for name in BENCHES:
             bench = os.path.join(args.bench_dir, name)
-            run_once(bench, args.branches, "plain", wd, f"{name}.warmup")
+            run_once(bench, "plain", wd, f"{name}.warmup")
             times = {"observed": [], "plain": []}
             last = {}
-            for r in range(args.repeats):
+            for r in range(REPEATS):
                 order = (("observed", "plain") if r % 2 == 0
                          else ("plain", "observed"))
                 for mode in order:
                     secs, json_path, csv_path = run_once(
-                        bench, args.branches, mode, wd,
-                        f"{name}.{mode}{r}")
+                        bench, mode, wd, f"{name}.{mode}{r}")
                     times[mode].append(secs)
                     last[mode] = (json_path, csv_path)
                     print(f"{name} run {r}: {mode:8s} {secs:.3f}s")
@@ -156,11 +155,11 @@ def main():
                      "errors": []}
             print(f"{name}: observed median {observed:.3f}s / plain "
                   f"median {plain:.3f}s = {ratio:.3f}x "
-                  f"(max {args.max_ratio}x)")
-            if ratio > args.max_ratio:
+                  f"(max {MAX_RATIO}x)")
+            if ratio > MAX_RATIO:
                 entry["errors"].append(
                     f"observed/plain {ratio:.3f}x exceeds "
-                    f"{args.max_ratio}x")
+                    f"{MAX_RATIO}x")
 
             obs_json, obs_csv = last["observed"]
             plain_json, plain_csv = last["plain"]

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <string_view>
 
 #include "obs/json.hh"
 
@@ -16,41 +17,14 @@ EventTraceSink::EventTraceSink(std::ostream &out, uint64_t sample_every)
 namespace
 {
 
-void
-appendU64(std::string &out, uint64_t v)
+/** "0x..." spelling of @p v, formatted into @p buf. */
+std::string_view
+hex(char (&buf)[24], uint64_t v)
 {
-    char buf[24];
-    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-    out.append(buf, res.ptr);
-}
-
-/**
- * A quoted "0x..." string: 64-bit addresses and history words go out
- * as hex strings, since JSON numbers are doubles and cannot hold them
- * losslessly.
- */
-void
-appendHex(std::string &out, uint64_t v)
-{
-    char buf[24];
-    const auto res = std::to_chars(buf, buf + sizeof(buf), v, 16);
-    out += "\"0x";
-    out.append(buf, res.ptr);
-    out += '"';
-}
-
-void
-appendBool(std::string &out, bool v)
-{
-    out += v ? "true" : "false";
-}
-
-void
-appendString(std::string &out, const std::string &text)
-{
-    out += '"';
-    out += escapeJson(text);
-    out += '"';
+    buf[0] = '0';
+    buf[1] = 'x';
+    const auto res = std::to_chars(buf + 2, buf + sizeof(buf), v, 16);
+    return {buf, static_cast<size_t>(res.ptr - buf)};
 }
 
 } // namespace
@@ -58,78 +32,68 @@ appendString(std::string &out, const std::string &text)
 bool
 EventTraceSink::onMispredict(const MispredictEvent &event)
 {
-    const bool take = seen_ % every == 0;
+    // Every Nth offer, starting with the first: a countdown instead of
+    // a division, since the engine offers every buffered event.
     ++seen_;
-    if (take)
-        write(event);
-    return take;
-}
-
-void
-EventTraceSink::onMispredicts(const MispredictEvent *events, size_t count)
-{
-    // Event i of the batch is the (seen_ + i)-th offered overall; the
-    // sampler keeps every index that is a multiple of `every`.
-    for (uint64_t i = (every - seen_ % every) % every; i < count;
-         i += every)
-        write(events[i]);
-    seen_ += count;
-}
-
-void
-EventTraceSink::write(const MispredictEvent &event)
-{
+    if (untilNext_ != 0) {
+        --untilNext_;
+        return false;
+    }
+    untilNext_ = every - 1;
     ++emitted_;
 
-    // Formatted into one reused buffer and written with one stream
-    // call: the bytes JsonWriter would produce, without its per-member
-    // stream round trips.
-    std::string &s = line_;
-    s.clear();
-    s += "{\"seq\":";
-    appendU64(s, emitted_ - 1);
-    s += ",\"branch\":";
-    appendU64(s, event.branchSeq);
+    char buf[24];
+    JsonWriter w(out_);
+    w.beginObject();
+    w.key("seq");
+    w.value(emitted_ - 1);
+    w.key("branch");
+    w.value(event.branchSeq);
     if (!bench.empty()) {
-        s += ",\"bench\":";
-        appendString(s, bench);
+        w.key("bench");
+        w.value(bench);
     }
-    s += ",\"pc\":";
-    appendHex(s, event.pc);
-    s += ",\"block\":";
-    appendHex(s, event.blockAddr);
-    s += ",\"bank\":";
-    appendU64(s, event.bank);
-    s += ",\"taken\":";
-    appendBool(s, event.taken);
-    s += ",\"pred\":";
-    appendBool(s, event.predicted);
-    s += ",\"ghist\":";
-    appendHex(s, event.ghist);
-    s += ",\"index_hist\":";
-    appendHex(s, event.indexHist);
+    // 64-bit addresses and history words go out as hex strings: JSON
+    // numbers are doubles and cannot hold them losslessly.
+    w.key("pc");
+    w.value(hex(buf, event.pc));
+    w.key("block");
+    w.value(hex(buf, event.blockAddr));
+    w.key("bank");
+    w.value(static_cast<uint64_t>(event.bank));
+    w.key("taken");
+    w.value(event.taken);
+    w.key("pred");
+    w.value(event.predicted);
+    w.key("ghist");
+    w.value(hex(buf, event.ghist));
+    w.key("index_hist");
+    w.value(hex(buf, event.indexHist));
     if (classes) {
         const auto it = classes->find(event.pc);
         if (it != classes->end()) {
-            s += ",\"class\":";
-            appendString(s, it->second);
+            w.key("class");
+            w.value(it->second);
         }
     }
     if (event.votesValid) {
-        s += ",\"votes\":{\"bim\":";
-        appendBool(s, event.voteBim);
-        s += ",\"g0\":";
-        appendBool(s, event.voteG0);
-        s += ",\"g1\":";
-        appendBool(s, event.voteG1);
-        s += ",\"meta\":";
-        appendBool(s, event.voteMeta);
-        s += ",\"majority\":";
-        appendBool(s, event.voteMajority);
-        s += '}';
+        w.key("votes");
+        w.beginObject();
+        w.key("bim");
+        w.value(event.voteBim);
+        w.key("g0");
+        w.value(event.voteG0);
+        w.key("g1");
+        w.value(event.voteG1);
+        w.key("meta");
+        w.value(event.voteMeta);
+        w.key("majority");
+        w.value(event.voteMajority);
+        w.endObject();
     }
-    s += "}\n";
-    out_.write(s.data(), static_cast<std::streamsize>(s.size()));
+    w.endObject();
+    out_ << '\n';
+    return true;
 }
 
 } // namespace ev8

@@ -22,14 +22,15 @@
  *    thread at a time.
  *  - BufferedEventSink records the raw event structs. The experiment
  *    engine gives every parallel (benchmark, config) job its own buffer
- *    and offers the buffers to the shared EventTraceSink in submission
- *    order, which keeps the emitted stream byte-identical to a serial
- *    run no matter how many worker threads executed the jobs.
+ *    and replays the buffers into the shared EventTraceSink in
+ *    submission order, which keeps the emitted stream byte-identical to
+ *    a serial run no matter how many worker threads executed the jobs.
  */
 
 #ifndef EV8_OBS_EVENT_TRACE_HH
 #define EV8_OBS_EVENT_TRACE_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <ostream>
@@ -43,7 +44,11 @@ namespace ev8
 /** pc-of-branch -> behaviour-class-name ("loop", "gcorr", ...). */
 using BranchClassMap = std::unordered_map<uint64_t, std::string>;
 
-/** One misprediction, as the simulator observed it. */
+/**
+ * One misprediction, as the simulator observed it. The flags are one
+ * bit each: the engine buffers every misprediction of a cell until the
+ * merge, so the record is kept at 48 bytes.
+ */
 struct MispredictEvent
 {
     uint64_t branchSeq = 0;  //!< dynamic conditional-branch index
@@ -52,17 +57,17 @@ struct MispredictEvent
     uint64_t ghist = 0;      //!< conventional global history at lookup
     uint64_t indexHist = 0;  //!< history the index functions consumed
     unsigned bank = 0;       //!< EV8 bank number (0 when unassigned)
-    bool taken = false;
-    bool predicted = false;
+    bool taken : 1 = false;
+    bool predicted : 1 = false;
 
     // Per-table votes of the 2Bc-gskew family; valid only when the
     // predictor exposes vote structure (votesValid).
-    bool votesValid = false;
-    bool voteBim = false;
-    bool voteG0 = false;
-    bool voteG1 = false;
-    bool voteMeta = false;   //!< true: chooser selected the e-gskew side
-    bool voteMajority = false;
+    bool votesValid : 1 = false;
+    bool voteBim : 1 = false;
+    bool voteG0 : 1 = false;
+    bool voteG1 : 1 = false;
+    bool voteMeta : 1 = false;   //!< true: chooser selected the e-gskew side
+    bool voteMajority : 1 = false;
 };
 
 /**
@@ -80,18 +85,6 @@ class MispredictSink
      * was recorded (sampling sinks drop the rest).
      */
     virtual bool onMispredict(const MispredictEvent &event) = 0;
-
-    /**
-     * Offers @p count consecutive mispredictions at once, exactly as
-     * that many onMispredict() calls would. Sampling sinks override it
-     * to visit only the events they keep.
-     */
-    virtual void
-    onMispredicts(const MispredictEvent *events, size_t count)
-    {
-        for (size_t i = 0; i < count; ++i)
-            onMispredict(events[i]);
-    }
 
     /** Names the benchmark subsequent events belong to. */
     virtual void setBench(std::string) {}
@@ -126,30 +119,23 @@ class EventTraceSink : public MispredictSink
      */
     bool onMispredict(const MispredictEvent &event) override;
 
-    /** Skips straight to the sampled events of the batch. */
-    void onMispredicts(const MispredictEvent *events,
-                       size_t count) override;
-
     uint64_t seen() const { return seen_; }
     uint64_t emitted() const { return emitted_; }
     uint64_t sampleEvery() const { return every; }
 
   private:
-    /** Writes one sampled event as a JSONL record. */
-    void write(const MispredictEvent &event);
-
     std::ostream &out_;
     uint64_t every;
     uint64_t seen_ = 0;
+    uint64_t untilNext_ = 0; //!< offers to skip before the next sample
     uint64_t emitted_ = 0;
     std::string bench;
     const BranchClassMap *classes = nullptr;
-    std::string line_; //!< write()'s reused record buffer
 };
 
 /**
  * Records every offered event verbatim. One per parallel job: the
- * engine offers the buffers to the real (sampling) sink in submission
+ * engine replays buffers into the real (sampling) sink in submission
  * order, so the sampling counter observes the exact misprediction
  * stream a serial run would have produced.
  */
@@ -159,6 +145,10 @@ class BufferedEventSink : public MispredictSink
     bool
     onMispredict(const MispredictEvent &event) override
     {
+        // Grows 4x at a time: a cell's buffer reaches megabytes, and a
+        // doubling vector copies the whole of it once more on the way.
+        if (events_.size() == events_.capacity())
+            events_.reserve(std::max<size_t>(256, 4 * events_.capacity()));
         events_.push_back(event);
         return true;
     }
@@ -176,7 +166,8 @@ class BufferedEventSink : public MispredictSink
     void
     replayInto(MispredictSink &sink) const
     {
-        sink.onMispredicts(events_.data(), events_.size());
+        for (const MispredictEvent &event : events_)
+            sink.onMispredict(event);
     }
 
   private:

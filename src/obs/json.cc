@@ -1,5 +1,6 @@
 #include "obs/json.hh"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -33,6 +34,19 @@ escapeJson(const std::string &text)
     return out;
 }
 
+JsonWriter::~JsonWriter()
+{
+    // An unfinished document still goes out, as it was written so far.
+    flush();
+}
+
+void
+JsonWriter::flush()
+{
+    out_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+    buf_.clear();
+}
+
 void
 JsonWriter::separate()
 {
@@ -41,15 +55,22 @@ JsonWriter::separate()
         return; // the key already emitted its comma
     }
     if (!firstInScope.back())
-        out_ << ',';
+        buf_ += ',';
     firstInScope.back() = false;
+}
+
+void
+JsonWriter::closeValue()
+{
+    if (firstInScope.size() == 1)
+        flush();
 }
 
 void
 JsonWriter::beginObject()
 {
     separate();
-    out_ << '{';
+    buf_ += '{';
     firstInScope.push_back(true);
 }
 
@@ -57,14 +78,15 @@ void
 JsonWriter::endObject()
 {
     firstInScope.pop_back();
-    out_ << '}';
+    buf_ += '}';
+    closeValue();
 }
 
 void
 JsonWriter::beginArray()
 {
     separate();
-    out_ << '[';
+    buf_ += '[';
     firstInScope.push_back(true);
 }
 
@@ -72,30 +94,52 @@ void
 JsonWriter::endArray()
 {
     firstInScope.pop_back();
-    out_ << ']';
+    buf_ += ']';
+    closeValue();
 }
 
 void
-JsonWriter::key(const std::string &name)
+JsonWriter::quoted(std::string_view text)
+{
+    // Runs of plain characters go in whole; only the rare escaped ones
+    // take the slow path.
+    buf_ += '"';
+    size_t run = 0;
+    for (size_t i = 0; i < text.size(); ++i) {
+        const unsigned char c = static_cast<unsigned char>(text[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        buf_.append(text.data() + run, i - run);
+        buf_ += escapeJson(std::string(1, text[i]));
+        run = i + 1;
+    }
+    buf_.append(text.data() + run, text.size() - run);
+    buf_ += '"';
+}
+
+void
+JsonWriter::key(std::string_view name)
 {
     if (!firstInScope.back())
-        out_ << ',';
+        buf_ += ',';
     firstInScope.back() = false;
-    out_ << '"' << escapeJson(name) << "\":";
+    quoted(name);
+    buf_ += ':';
     pendingKey = true;
 }
 
 void
-JsonWriter::value(const std::string &text)
+JsonWriter::value(std::string_view text)
 {
     separate();
-    out_ << '"' << escapeJson(text) << '"';
+    quoted(text);
+    closeValue();
 }
 
 void
 JsonWriter::value(const char *text)
 {
-    value(std::string(text));
+    value(std::string_view(text));
 }
 
 void
@@ -103,47 +147,55 @@ JsonWriter::value(double number)
 {
     separate();
     if (!std::isfinite(number)) {
-        out_ << "null";
-        return;
+        buf_ += "null";
+    } else {
+        char buf[64];
+        std::snprintf(buf, sizeof(buf), "%.12g", number);
+        buf_ += buf;
     }
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.12g", number);
-    out_ << buf;
+    closeValue();
 }
 
 void
 JsonWriter::value(uint64_t number)
 {
     separate();
-    out_ << number;
+    char buf[24];
+    buf_.append(buf, std::to_chars(buf, buf + sizeof(buf), number).ptr);
+    closeValue();
 }
 
 void
 JsonWriter::value(int number)
 {
     separate();
-    out_ << number;
+    char buf[16];
+    buf_.append(buf, std::to_chars(buf, buf + sizeof(buf), number).ptr);
+    closeValue();
 }
 
 void
 JsonWriter::value(bool flag)
 {
     separate();
-    out_ << (flag ? "true" : "false");
+    buf_ += flag ? "true" : "false";
+    closeValue();
 }
 
 void
 JsonWriter::valueNull()
 {
     separate();
-    out_ << "null";
+    buf_ += "null";
+    closeValue();
 }
 
 void
 JsonWriter::rawValue(const std::string &json)
 {
     separate();
-    out_ << json;
+    buf_ += json;
+    closeValue();
 }
 
 const JsonValue *

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -33,18 +34,29 @@ std::string escapeJson(const std::string &text);
  *     w.beginObject();
  *     w.key("rows"); w.beginArray(); w.value(1.5); w.endArray();
  *     w.endObject();
+ *
+ * The text is assembled in memory and reaches @p out in one write when
+ * the top-level value is complete (or when the writer is destroyed), so
+ * raw writes to @p out belong between documents, not inside one.
  */
 class JsonWriter
 {
   public:
-    explicit JsonWriter(std::ostream &out) : out_(out) {}
+    explicit JsonWriter(std::ostream &out) : out_(out)
+    {
+        buf_.reserve(256); // one allocation covers a typical record
+    }
+    ~JsonWriter();
+
+    JsonWriter(const JsonWriter &) = delete;
+    JsonWriter &operator=(const JsonWriter &) = delete;
 
     void beginObject();
     void endObject();
     void beginArray();
     void endArray();
-    void key(const std::string &name);
-    void value(const std::string &text);
+    void key(std::string_view name);
+    void value(std::string_view text);
     void value(const char *text);
     void value(double number); //!< non-finite emits null
     void value(uint64_t number);
@@ -61,9 +73,13 @@ class JsonWriter
 
   private:
     void separate(); //!< comma/space before a new element
+    void quoted(std::string_view text); //!< escaped, in quotes
+    void closeValue(); //!< writes out a completed top-level value
+    void flush();
 
     std::ostream &out_;
-    std::vector<bool> firstInScope{true}; //!< per nesting level
+    std::string buf_; //!< the document's text not yet written out
+    std::vector<char> firstInScope{true}; //!< per nesting level
     bool pendingKey = false;
 };
 

@@ -136,22 +136,11 @@ SpanTracer::collect() const
                 events.push_back(chunk->events[i]);
         }
     }
-    // Start time, then collection index: a total order, so the plain
-    // (in-place) sort reproduces the stable order without the
-    // temporary buffer std::stable_sort allocates.
-    std::vector<uint32_t> order(events.size());
-    for (size_t i = 0; i < order.size(); ++i)
-        order[i] = static_cast<uint32_t>(i);
-    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-        return events[a].startNs != events[b].startNs
-            ? events[a].startNs < events[b].startNs
-            : a < b;
-    });
-    std::vector<SpanEvent> sorted;
-    sorted.reserve(events.size());
-    for (const uint32_t i : order)
-        sorted.push_back(std::move(events[i]));
-    return sorted;
+    std::stable_sort(events.begin(), events.end(),
+                     [](const SpanEvent &a, const SpanEvent &b) {
+                         return a.startNs < b.startNs;
+                     });
+    return events;
 }
 
 std::vector<SpanThreadInfo>

@@ -42,6 +42,8 @@
 #ifndef EV8_PREDICTORS_FUSED_VEC_HH
 #define EV8_PREDICTORS_FUSED_VEC_HH
 
+#include <bit>
+
 #include "common/simd.hh"
 #include "predictors/bimodal.hh"
 #include "predictors/gshare.hh"
@@ -172,28 +174,9 @@ TwoBcGskewPredictor::FusedGroup::stepVec(const BranchSnapshot &snap,
         const Vec ovr = b ^ (m & (maj ^ b));
         ovr.store(&ovrS_[l]);
 
-        // Event walks: report the mispredicting lanes and keep their
-        // votes readable through lastVotes() until their next step.
-        // Blocks where every lane predicted right skip the lane loop.
-        if (eventWalk_ && !(ovr ^ tb).allZero()) {
-            uint64_t votes[kW];
-            (b | (g0v << 1) | (g1v << 2) | (m << 3)).store(votes);
-            for (size_t k = 0; k < kW && l + k < lanes_.size(); ++k) {
-                const bool overall = ovrS_[l + k] != 0;
-                if (overall == taken)
-                    continue;
-                missed |= uint64_t{1} << (l + k);
-                GskewLookup &look = lanes_[l + k]->last;
-                look.bimPred = (votes[k] & 1) != 0;
-                look.g0Pred = (votes[k] & 2) != 0;
-                look.g1Pred = (votes[k] & 4) != 0;
-                look.metaPred = (votes[k] & 8) != 0;
-                look.majority = (static_cast<int>(look.bimPred)
-                                 + look.g0Pred + look.g1Pred)
-                                >= 2;
-                look.overall = overall;
-            }
-        }
+        // Event walks keep every lane's votes for the write-back below.
+        if (eventWalk_)
+            (b | (g0v << 1) | (g1v << 2) | (m << 3)).store(&voteS_[l]);
 
         // The policy flags, all 0/1 per lane: S = strengthen, U =
         // full update, tgt = the update direction. META retrains
@@ -290,12 +273,32 @@ TwoBcGskewPredictor::FusedGroup::stepVec(const BranchSnapshot &snap,
                 *reinterpret_cast<uint64_t *>(
                     static_cast<uintptr_t>(haA[t][k])) = hwA[t][k];
             }
-            misp[l + k] += (ovrS_[l + k] != 0) != taken;
+            const bool miss = (ovrS_[l + k] != 0) != taken;
+            misp[l + k] += miss;
+            missed |= uint64_t{miss} << (l + k);
         }
     }
 
     if (anyStats_)
         ++accSteps_;
+
+    // Event walks: the mispredicting lanes' votes stay readable through
+    // lastVotes() until their next step. This runs after the vote and
+    // update pass so that pass keeps its registers.
+    if (eventWalk_) {
+        for (uint64_t left = missed; left != 0; left &= left - 1) {
+            const size_t l = std::countr_zero(left);
+            GskewLookup &look = lanes_[l]->last;
+            look.bimPred = (voteS_[l] & 1) != 0;
+            look.g0Pred = (voteS_[l] & 2) != 0;
+            look.g1Pred = (voteS_[l] & 4) != 0;
+            look.metaPred = (voteS_[l] & 8) != 0;
+            look.majority = (static_cast<int>(look.bimPred)
+                             + look.g0Pred + look.g1Pred)
+                            >= 2;
+            look.overall = !taken;
+        }
+    }
 
     // Debug-build bookkeeping for update()'s immediate-update contract
     // assert. Unlike the scalar stepper nothing above fills p.last's

@@ -276,6 +276,7 @@ TwoBcGskewPredictor::FusedGroup::buildVectorState()
     for (size_t l = 0; l < lanes_.size(); ++l)
         anyStats_ |= statsOn_[l] != 0;
     ovrS_.resize(paddedLanes_);
+    voteS_.resize(paddedLanes_);
     if (anyStats_) {
         for (unsigned k = 0; k < 3; ++k) {
             accConf_[k].assign(paddedLanes_, 0);

@@ -245,10 +245,11 @@ class TwoBcGskewPredictor final : public ConditionalBranchPredictor
         //! All-ones for partial-update lanes, 0 for total-update ones.
         std::vector<uint64_t> lanePartial_;
         //! Per-branch scratch: composed indices for the vote+update
-        //! pass, and each lane's overall prediction for the mispredict
-        //! tally.
+        //! pass, each lane's overall prediction for the mispredict
+        //! tally, and (event walks) its BIM/G0/G1/META vote bits.
         std::array<std::vector<uint64_t>, kNumTables> idxS_;
         std::vector<uint64_t> ovrS_;
+        std::vector<uint64_t> voteS_;
         bool anyStats_ = false;
         //! Event walk: report mispredicting lanes, keep their votes.
         bool eventWalk_ = false;

@@ -500,7 +500,8 @@ ExperimentEngine::runGrid(SuiteRunner &runner,
         if (MispredictSink *sink = row.config.events) {
             sink->setBench(out.result.bench);
             sink->setClassifier(out.classes.get());
-            sink->onMispredicts(out.events.data(), out.events.size());
+            for (const MispredictEvent &event : out.events)
+                sink->onMispredict(event);
             sink->setClassifier(nullptr);
         }
         outcome.results[i / nbench].push_back(std::move(out.result));

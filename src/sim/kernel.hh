@@ -244,7 +244,7 @@ runFusedStreamKernelRange(const BlockStream &stream,
     // The Single shape fixes the lane count at compile time so every
     // lane loop below collapses to straight-line code.
     const size_t n = Single ? 1 : nlanes;
-    Predictor *preds[kMaxFusedLanes];
+    Predictor *preds[kMaxFusedLanes] = {};
     uint64_t misp[kMaxFusedLanes] = {};
     for (size_t l = 0; l < n; ++l)
         preds[l] = lanes[l].predictor;

@@ -195,42 +195,6 @@ TEST(BufferedEventSink, ReplayMatchesDirectFeedByteForByte)
     EXPECT_EQ(replayed.emitted(), direct.emitted());
 }
 
-/**
- * The engine's merge path offers each cell's buffer as one batch, and
- * the sampling sink skips straight to the events it keeps. That must
- * equal offering the same events one by one, for any split of the
- * stream into batches: the sampler's phase carries across batches.
- */
-TEST(EventTraceSink, BatchOfferMatchesPerEventOffers)
-{
-    std::vector<MispredictEvent> events;
-    for (int i = 0; i < 41; ++i) {
-        MispredictEvent e = simpleEvent(0x4000 + 4 * i);
-        e.branchSeq = i;
-        e.votesValid = i % 3 != 0;
-        e.voteG1 = i % 5 == 0;
-        events.push_back(e);
-    }
-
-    std::ostringstream single_out;
-    EventTraceSink single(single_out, 4);
-    for (const auto &e : events)
-        single.onMispredict(e);
-
-    std::ostringstream batch_out;
-    EventTraceSink batched(batch_out, 4);
-    size_t begin = 0;
-    for (const size_t len : {0, 3, 1, 9, 4, 24}) {
-        batched.onMispredicts(events.data() + begin, len);
-        begin += len;
-    }
-    ASSERT_EQ(begin, events.size());
-
-    EXPECT_EQ(batch_out.str(), single_out.str());
-    EXPECT_EQ(batched.seen(), single.seen());
-    EXPECT_EQ(batched.emitted(), single.emitted());
-}
-
 TEST(BufferedEventSink, WorksAsSimulationSink)
 {
     const Trace trace = generateTrace(findBenchmark("gcc").profile, 4000);

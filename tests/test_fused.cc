@@ -128,6 +128,7 @@ enum class WalkMode
     Sampled,
     Timed,
     Events,
+    TimedEvents, //!< both, as every --json --events run walks
 };
 
 /** What a one-lane walk produced, in comparable form. */
@@ -315,15 +316,17 @@ runLanes(const BlockStream &stream, const LaneFactory &make,
     std::vector<std::ostringstream> events(nlanes);
     std::vector<std::unique_ptr<EventTraceSink>> sinks;
     std::vector<FusedLane> lanes;
+    const bool with_events =
+        mode == WalkMode::Events || mode == WalkMode::TimedEvents;
     for (size_t l = 0; l < nlanes; ++l) {
         preds.push_back(make(l));
         regs.push_back(std::make_unique<MetricRegistry>());
         sinks.push_back(std::make_unique<EventTraceSink>(events[l], 1));
         lanes.push_back({preds.back().get(), regs.back().get(),
-                         mode == WalkMode::Events ? sinks.back().get()
-                                                  : nullptr});
+                         with_events ? sinks.back().get() : nullptr});
     }
-    config.profileTiming = mode == WalkMode::Timed;
+    config.profileTiming =
+        mode == WalkMode::Timed || mode == WalkMode::TimedEvents;
     MultiLaneRun run;
     run.results = simulateStreamFused(stream, lanes, config);
     for (size_t l = 0; l < nlanes; ++l) {
@@ -336,11 +339,14 @@ runLanes(const BlockStream &stream, const LaneFactory &make,
 }
 
 /**
- * Observed walks ride the group steppers: timed and event-emitting
- * walks of 1, 3, 4, 5 and 8 same-family lanes, on every SIMD backend,
- * emit exactly the events (votes included) and metrics of the
- * forced-generic per-lane walk. Timing keeps exact call counts and
- * measures something on a stream that has timed blocks.
+ * Observed walks ride the group steppers: timed, event-emitting and
+ * timed event-emitting walks of 1, 3, 4, 5 and 8 same-family lanes, on
+ * every SIMD backend, emit exactly the events (votes included) and
+ * metrics of the forced-generic per-lane walk. The last mode is the one
+ * where timed blocks (per-lane predict/update) and the vector steppers'
+ * vote write-back alternate within one event walk; its events must
+ * equal the untimed walk's. Timing keeps exact call counts and measures
+ * something on a stream that has timed blocks.
  */
 TEST(FusedKernel, ObservedGroupWalksMatchGenericWalk)
 {
@@ -360,17 +366,27 @@ TEST(FusedKernel, ObservedGroupWalksMatchGenericWalk)
             for (const auto &[family, make] : groupFamilies()) {
                 for (const size_t nlanes : {1, 3, 4, 5, 8}) {
                     for (const WalkMode mode :
-                         {WalkMode::Timed, WalkMode::Events}) {
+                         {WalkMode::Timed, WalkMode::Events,
+                          WalkMode::TimedEvents}) {
+                        const bool timed = mode != WalkMode::Events;
+                        const bool with_events = mode != WalkMode::Timed;
                         const std::string label = family + " x"
                             + std::to_string(nlanes) + " simd="
-                            + backend
-                            + (mode == WalkMode::Timed ? " timed"
-                                                       : " events")
+                            + backend + (timed ? " timed" : "")
+                            + (with_events ? " events" : "")
                             + (base.assignBanks ? " ev8" : " ghist");
                         const MultiLaneRun run =
                             runLanes(stream, make, nlanes, base, mode);
                         const MultiLaneRun ref = runLanes(
                             stream, make, nlanes, generic, mode);
+                        // Events must not depend on timing: a timed
+                        // event walk emits what the untimed generic
+                        // walk does, sampled blocks included.
+                        const MultiLaneRun untimed =
+                            mode == WalkMode::TimedEvents
+                            ? runLanes(stream, make, nlanes, generic,
+                                       WalkMode::Events)
+                            : ref;
                         for (size_t l = 0; l < nlanes; ++l) {
                             const std::string lane =
                                 label + " lane " + std::to_string(l);
@@ -380,13 +396,14 @@ TEST(FusedKernel, ObservedGroupWalksMatchGenericWalk)
                                       ref.metricsJson[l])
                                 << lane;
                             EXPECT_EQ(run.eventsJsonl[l],
-                                      ref.eventsJsonl[l])
+                                      untimed.eventsJsonl[l])
                                 << lane;
-                            if (mode == WalkMode::Events) {
+                            if (with_events) {
                                 EXPECT_FALSE(run.eventsJsonl[l].empty())
                                     << lane;
-                                continue;
                             }
+                            if (!timed)
+                                continue;
                             EXPECT_EQ(r.timing.lookup.calls,
                                       r.condBranches)
                                 << lane;

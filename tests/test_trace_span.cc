@@ -263,6 +263,21 @@ operator new[](std::size_t size)
     return ::operator new(size);
 }
 
+// The nothrow forms (libstdc++'s temporary buffers, e.g. stable_sort's)
+// must come from the same malloc the replaced deletes free into.
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    g_allocCount.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size ? size : 1);
+}
+
+void *
+operator new[](std::size_t size, const std::nothrow_t &tag) noexcept
+{
+    return ::operator new(size, tag);
+}
+
 void
 operator delete(void *ptr) noexcept
 {
