@@ -532,6 +532,17 @@ std::vector<std::vector<BenchResult>>
 runAndPrint(BenchContext &ctx, SuiteRunner &runner,
             const std::vector<ExperimentRow> &rows)
 {
+    std::vector<GridRow> grid;
+    grid.reserve(rows.size());
+    for (const ExperimentRow &row : rows)
+        grid.push_back({row.factory, row.config, row.label});
+    return runAndPrint(ctx, runner, grid);
+}
+
+std::vector<std::vector<BenchResult>>
+runAndPrint(BenchContext &ctx, SuiteRunner &runner,
+            const std::vector<GridRow> &rows)
+{
     TextTable table;
     std::vector<std::string> header{"configuration"};
     for (size_t i = 0; i < runner.size(); ++i)
@@ -546,14 +557,12 @@ runAndPrint(BenchContext &ctx, SuiteRunner &runner,
     // walk per row. Submission stays row-major, so the deterministic
     // merge order -- and hence every artifact byte -- matches the old
     // row-at-a-time loop.
-    std::vector<GridRow> grid;
-    grid.reserve(rows.size());
-    for (const auto &row : rows) {
+    std::vector<GridRow> grid = rows;
+    for (GridRow &row : grid) {
         if (!benchQuiet())
             std::fprintf(stderr, "  running %s ...\n",
                          row.label.c_str());
-        grid.push_back({row.factory, ctx.instrument(row.config),
-                        row.label});
+        row.config = ctx.instrument(row.config);
     }
     std::vector<std::vector<BenchResult>> all =
         runner.runGrid(grid).results;

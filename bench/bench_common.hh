@@ -223,8 +223,13 @@ void printBanner(const std::string &experiment_id,
  * Each row's SimConfig is instrumented through @p ctx and its results
  * recorded for export. Cells that failed permanently print as "!!"
  * (and export as null); the mean skips them. Returns the per-row
- * results.
+ * results. Registry-driven binaries pass gridRows() (serve/grids.hh).
  */
+std::vector<std::vector<BenchResult>> runAndPrint(
+    BenchContext &ctx, SuiteRunner &runner,
+    const std::vector<GridRow> &rows);
+
+/** runAndPrint() over hand-written labelled rows. */
 std::vector<std::vector<BenchResult>> runAndPrint(
     BenchContext &ctx, SuiteRunner &runner,
     const std::vector<ExperimentRow> &rows);

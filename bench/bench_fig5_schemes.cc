@@ -11,7 +11,6 @@
  */
 
 #include "bench_common.hh"
-#include "predictors/factory.hh"
 #include "serve/grids.hh"
 
 using namespace ev8;
@@ -23,17 +22,7 @@ main(int argc, char **argv)
     BenchContext ctx(argc, argv, grid->benchId, grid->title);
 
     SuiteRunner &runner = ctx.runner();
-    const SimConfig base = baseConfig(*grid);
-
-    std::vector<ExperimentRow> rows;
-    rows.reserve(grid->rows.size());
-    for (const GridRowSpec &row : grid->rows) {
-        rows.push_back({row.label,
-                        [spec = row.spec] { return makePredictor(spec); },
-                        base});
-    }
-
-    const auto results = runAndPrint(ctx, runner, rows);
+    const auto results = runAndPrint(ctx, runner, gridRows(*grid));
     printBars("2Bc-gskew 512Kb, misp/KI per benchmark:", results[1]);
 
     printShapeNotes({

@@ -24,15 +24,7 @@ main(int argc, char **argv)
 
     SuiteRunner &runner = ctx.runner();
 
-    std::vector<ExperimentRow> rows;
-    rows.reserve(grid->rows.size());
-    for (const GridRowSpec &row : grid->rows) {
-        rows.push_back({row.label,
-                        [&row] { return makeRowPredictor(row); },
-                        rowBaseConfig(*grid, row)});
-    }
-
-    const auto results = runAndPrint(ctx, runner, rows);
+    const auto results = runAndPrint(ctx, runner, gridRows(*grid));
     printBars("EV8 info vector, misp/KI per benchmark:", results[4]);
 
     printShapeNotes({

@@ -24,15 +24,7 @@ main(int argc, char **argv)
 
     SuiteRunner &runner = ctx.runner();
 
-    std::vector<ExperimentRow> rows;
-    rows.reserve(grid->rows.size());
-    for (const GridRowSpec &row : grid->rows) {
-        rows.push_back({row.label,
-                        [&row] { return makeRowPredictor(row); },
-                        rowBaseConfig(*grid, row)});
-    }
-
-    runAndPrint(ctx, runner, rows);
+    runAndPrint(ctx, runner, gridRows(*grid));
 
     printShapeNotes({
         "shrinking BIM from 64K to 16K entries has no impact: each "

@@ -26,10 +26,7 @@ Methodology, tuned for noisy shared runners:
 
 --report writes a JSON summary carrying the raw samples, the active
 SIMD backend and lane width (read from the artifact telemetry), and
-the verdict; CI uploads it with the run artifacts. --compare-only
-skips the timing floor but keeps the byte-compares -- the mode for the
-scalar-forced (EV8_SIMD=scalar) job, whose emulated vector path trades
-speed for portability by design.
+the verdict; CI uploads it with the run artifacts.
 
 The tolerance in the baseline file is deliberately wide (~30%): this
 gate exists to catch a change that erases the fusion win entirely, not
@@ -53,8 +50,7 @@ def run_once(bench, branches, jobs, mode, workdir, tag, simd=None):
 
     mode "percell" caps fused jobs at one lane (EV8_FUSED_LANES=1);
     "fused" runs the default lane cap. simd=None inherits the caller's
-    EV8_SIMD (so a scalar-forced CI job applies to every run); a string
-    forces that backend for this run.
+    EV8_SIMD; a string forces that backend for this run.
     """
     json_path = os.path.join(workdir, f"{tag}.json")
     csv_path = os.path.join(workdir, f"{tag}.csv")
@@ -113,9 +109,6 @@ def main():
                              "tolerance")
     parser.add_argument("--report", default=None,
                         help="write a JSON measurement report here")
-    parser.add_argument("--compare-only", action="store_true",
-                        help="run the byte-compare gates but skip the "
-                             "timing floor (scalar-forced CI job)")
     args = parser.parse_args()
 
     with open(args.baseline) as f:
@@ -135,7 +128,6 @@ def main():
         "expected_speedup": expected,
         "tolerance": tolerance,
         "floor": floor,
-        "compare_only": args.compare_only,
     }
 
     def finish(code):
@@ -202,10 +194,6 @@ def main():
         print(f"vector-vs-scalar A/B: fused(EV8_SIMD=0) {simd0_secs:.3f}s"
               f" / fused {fused:.3f}s = {report['simd_speedup']:.3f}x "
               f"(informational)")
-        if args.compare_only:
-            print("compare-only: artifacts identical, timing floor "
-                  "skipped")
-            return finish(0)
         if speedup < floor:
             print(f"FAIL: fused speedup {speedup:.3f}x below floor "
                   f"{floor:.3f}x", file=sys.stderr)

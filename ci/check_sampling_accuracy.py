@@ -33,8 +33,7 @@ Methodology notes, tuned for noisy shared runners:
 
 --report writes a JSON summary carrying the raw samples, the
 per-column worst error, and the verdict; CI uploads it with the run
-artifacts.  --compare-only keeps the accuracy and determinism gates
-but skips the 16M timing floor (quick local runs, scalar-forced CI).
+artifacts.
 """
 
 import argparse
@@ -131,9 +130,6 @@ def main():
                              "accuracy bound and speedup floor")
     parser.add_argument("--report", default=None,
                         help="write a JSON measurement report here")
-    parser.add_argument("--compare-only", action="store_true",
-                        help="run the accuracy and determinism gates "
-                             "but skip the 16M timing floor")
     args = parser.parse_args()
 
     with open(args.baseline) as f:
@@ -156,7 +152,6 @@ def main():
         "tolerance": spd["tolerance"],
         "min_speedup": spd["min_speedup"],
         "floor": floor,
-        "compare_only": args.compare_only,
     }
 
     def finish(code):
@@ -204,11 +199,6 @@ def main():
             return finish(1)
         print(f"determinism: sampled --jobs=1 vs --jobs={jobs} "
               "byte-identical (sampling block compared unmasked)")
-
-        if args.compare_only:
-            print("compare-only: accuracy and determinism OK, 16M "
-                  "timing floor skipped")
-            return finish(0)
 
         # Gate 3: speedup at the paper scale.  A sampled warm-up first
         # builds the 16M streams and phase sidecars so synthesis lands

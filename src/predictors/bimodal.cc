@@ -36,7 +36,7 @@ BimodalPredictor::FusedGroup::FusedGroup(BimodalPredictor *const *preds,
     backend_ = simd::activeBackend();
     if (backend_ == simd::Backend::Off)
         return;
-    constexpr size_t kW = simd::U64x4::kLanes;
+    constexpr size_t kW = simd::kVecLanes;
     paddedLanes_ = (nlanes + kW - 1) & ~(kW - 1);
     idxMask_.resize(paddedLanes_);
     wordBase_.resize(paddedLanes_);
@@ -52,10 +52,10 @@ uint64_t
 BimodalPredictor::FusedGroup::step(const BranchSnapshot &snap, bool taken,
                                    uint64_t *misp)
 {
-    if (backend_ == simd::Backend::Avx2)
-        return stepVecAvx2(snap, taken, misp);
-    if (backend_ != simd::Backend::Off)
-        return stepVecScalar(snap, taken, misp);
+    if constexpr (simd::builtWithAvx2()) {
+        if (backend_ == simd::Backend::Avx2)
+            return stepVecAvx2(snap, taken, misp);
+    }
     // The per-lane two-phase step of the pre-vector fused kernel.
     uint64_t missed = 0;
     for (size_t l = 0; l < lanes_.size(); ++l) {

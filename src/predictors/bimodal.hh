@@ -60,8 +60,6 @@ class BimodalPredictor final : public ConditionalBranchPredictor
         template <class Vec>
         uint64_t stepVec(const BranchSnapshot &snap, bool taken,
                          uint64_t *misp);
-        uint64_t stepVecScalar(const BranchSnapshot &snap, bool taken,
-                               uint64_t *misp);
         uint64_t stepVecAvx2(const BranchSnapshot &snap, bool taken,
                              uint64_t *misp);
 

@@ -2,13 +2,13 @@
  * @file
  * The vector fused-group steppers, templated over a simd.hh vector
  * type. This header is the single definition of the vector semantics;
- * it is included only by the two backend translation units
- * (fused_vec_scalar.cc and fused_vec_avx2.cc, the latter built with
- * -mavx2), so intrinsic code never leaks into plainly-compiled TUs.
+ * it is included only by fused_vec_avx2.cc, the translation unit built
+ * with -mavx2, so intrinsic code never leaks into plainly-compiled TUs.
  *
  * Every stepper is arithmetic-identical to its scalar sibling by
  * construction -- same folds, same H/H' chains, same counter
- * transitions -- so artifacts stay byte-identical across EV8_SIMD.
+ * transitions -- so artifacts stay byte-identical across the two
+ * EV8_SIMD backends (0 and avx2).
  * The layout of the work differs:
  *
  *  - 2Bc-gskew: phase A computes the deduplicated address/history

@@ -193,7 +193,7 @@ TwoBcGskewPredictor::FusedGroup::FusedGroup(
 void
 TwoBcGskewPredictor::FusedGroup::buildVectorState()
 {
-    constexpr size_t kW = simd::U64x4::kLanes;
+    constexpr size_t kW = simd::kVecLanes;
     const auto pad = [](size_t n) { return (n + kW - 1) & ~(kW - 1); };
     const uint64_t ones = ~uint64_t{0};
 
@@ -321,11 +321,11 @@ uint64_t
 TwoBcGskewPredictor::FusedGroup::step(const BranchSnapshot &snap,
                                       bool taken, uint64_t *misp)
 {
-    if (backend_ == simd::Backend::Off)
-        return stepScalar(snap, taken, misp);
-    if (backend_ == simd::Backend::Avx2)
-        return stepVecAvx2(snap, taken, misp);
-    return stepVecScalar(snap, taken, misp);
+    if constexpr (simd::builtWithAvx2()) {
+        if (backend_ == simd::Backend::Avx2)
+            return stepVecAvx2(snap, taken, misp);
+    }
+    return stepScalar(snap, taken, misp);
 }
 
 uint16_t

@@ -187,17 +187,15 @@ class TwoBcGskewPredictor final : public ConditionalBranchPredictor
 
         /**
          * The vector stepper, templated over a simd.hh vector type.
-         * Defined in fused_vec.hh; instantiated only by the two
-         * backend translation units (fused_vec_scalar.cc and, with
-         * -mavx2, fused_vec_avx2.cc), which expose it through the two
-         * out-of-line entry points below so no intrinsic code leaks
-         * into TUs built without -mavx2.
+         * Defined in fused_vec.hh; instantiated only by the -mavx2
+         * translation unit fused_vec_avx2.cc, which exposes it
+         * through the out-of-line entry point below so no intrinsic
+         * code leaks into TUs built without -mavx2. Builds without
+         * that TU never call it (step() guards on builtWithAvx2()).
          */
         template <class Vec>
         uint64_t stepVec(const BranchSnapshot &snap, bool taken,
                          uint64_t *misp);
-        uint64_t stepVecScalar(const BranchSnapshot &snap, bool taken,
-                               uint64_t *misp);
         uint64_t stepVecAvx2(const BranchSnapshot &snap, bool taken,
                              uint64_t *misp);
 

@@ -299,23 +299,26 @@ makeRowPredictor(const GridRowSpec &row)
 }
 
 std::vector<GridRow>
-buildGridRows(const GridSpec &grid, const SimConfig &config)
+gridRows(const GridSpec &grid)
 {
     std::vector<GridRow> rows;
     rows.reserve(grid.rows.size());
     for (const GridRowSpec &r : grid.rows) {
-        SimConfig rowConfig = rowBaseConfig(grid, r);
-        rowConfig.metrics = config.metrics;
-        rowConfig.events = config.events;
-        rowConfig.profileTiming = config.profileTiming;
-        rowConfig.forceGenericKernel = config.forceGenericKernel;
-        rows.push_back(GridRow{
-            [make = r.make, spec = r.spec] {
-                return make ? make() : makePredictor(spec);
-            },
-            rowConfig,
-            r.label,
-        });
+        rows.push_back(GridRow{[r] { return makeRowPredictor(r); },
+                               rowBaseConfig(grid, r), r.label});
+    }
+    return rows;
+}
+
+std::vector<GridRow>
+buildGridRows(const GridSpec &grid, const SimConfig &config)
+{
+    std::vector<GridRow> rows = gridRows(grid);
+    for (GridRow &row : rows) {
+        row.config.metrics = config.metrics;
+        row.config.events = config.events;
+        row.config.profileTiming = config.profileTiming;
+        row.config.forceGenericKernel = config.forceGenericKernel;
     }
     return rows;
 }

@@ -91,11 +91,18 @@ SimConfig rowBaseConfig(const GridSpec &grid, const GridRowSpec &row);
 PredictorPtr makeRowPredictor(const GridRowSpec &row);
 
 /**
- * Materializes @p grid's rows as engine GridRows over @p config (the
+ * @p grid's rows as uninstrumented engine GridRows, in row order: each
+ * row's label, a makeRowPredictor() factory and its rowBaseConfig().
+ * The registry-driven batch binaries run these through their own
+ * instrumentation.
+ */
+std::vector<GridRow> gridRows(const GridSpec &grid);
+
+/**
+ * gridRows() carrying @p config's observability hooks (the
  * instrumented per-caller config -- batch and served callers attach
- * different sinks but identical simulation fields). Rows with a preset
- * override keep @p config's observability hooks but take their own
- * preset's simulation fields.
+ * different sinks but identical simulation fields). Every row keeps
+ * its own preset's simulation fields.
  */
 std::vector<GridRow> buildGridRows(const GridSpec &grid,
                                    const SimConfig &config);

@@ -354,7 +354,7 @@ TEST(FusedKernel, ObservedGroupWalksMatchGenericWalk)
         generateTrace(findBenchmark("gcc").profile, 8000));
     ASSERT_GT(stream.blocks(), kTimingSamplePeriod);
 
-    std::vector<const char *> backends{"0", "scalar"};
+    std::vector<const char *> backends{"0"};
     if (simd::builtWithAvx2() && simd::cpuHasAvx2())
         backends.push_back("avx2");
     for (const char *backend : backends) {
@@ -563,7 +563,7 @@ TEST(FusedEngine, SimdBackendLaneCapJobsDoNotChangeAnyByte)
         ScopedEnv lanes("EV8_FUSED_LANES", nullptr);
         reference = observedGrid(1);
     }
-    std::vector<const char *> backends{"0", "scalar"};
+    std::vector<const char *> backends{"0"};
     if (simd::builtWithAvx2() && simd::cpuHasAvx2())
         backends.push_back("avx2");
     for (const char *backend : backends) {

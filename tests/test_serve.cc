@@ -245,6 +245,33 @@ TEST(Serve, Fig7PresetsResolveTheInformationVectorLadder)
     EXPECT_GT(bits[1], bits[2]);
 }
 
+/**
+ * The batch binaries' row table: every registry row, direct-factory and
+ * per-row-preset rows included, becomes its own predictor and preset,
+ * uninstrumented.
+ */
+TEST(Serve, GridRowsResolveEveryRowsFactoryAndPreset)
+{
+    for (const std::string &id : knownGrids()) {
+        const GridSpec &grid = *findGrid(id);
+        const std::vector<GridRow> rows = gridRows(grid);
+        const std::vector<uint64_t> bits = gridStorageBits(grid);
+        ASSERT_EQ(rows.size(), grid.rows.size()) << id;
+        for (size_t i = 0; i < rows.size(); ++i) {
+            const SimConfig want = rowBaseConfig(grid, grid.rows[i]);
+            const std::string where = id + " row " + rows[i].label;
+            EXPECT_EQ(rows[i].label, grid.rows[i].label) << where;
+            EXPECT_EQ(rows[i].factory()->storageBits(), bits[i]) << where;
+            EXPECT_EQ(rows[i].config.history, want.history) << where;
+            EXPECT_EQ(rows[i].config.historyAge, want.historyAge) << where;
+            EXPECT_EQ(rows[i].config.assignBanks, want.assignBanks)
+                << where;
+            EXPECT_EQ(rows[i].config.metrics, nullptr) << where;
+            EXPECT_EQ(rows[i].config.events, nullptr) << where;
+        }
+    }
+}
+
 TEST(Serve, SnapshotReportsStructuredLiveState)
 {
     ScopedEnv scale("EV8_BRANCHES_PER_BENCH", kTinyScale);
@@ -621,6 +648,20 @@ TEST(Serve, LeaseExpiryReclaimsAbandonedSessions)
     callOk(server, openReq("ran"));
     callOk(server, sessionReq("start", "ran"));
     callOk(server, openReq("stillborn"));
+
+    // Keep "ran" alive until it finishes: snapshot renews the lease
+    // without marking delivery, so however slow the run (sanitizer
+    // builds take well over the 150 ms lease), the session expires
+    // only once it is done and abandoned.
+    bool ranDone = false;
+    for (int i = 0; i < 2400 && !ranDone; ++i) {
+        const JsonValue snap =
+            callOk(server, sessionReq("snapshot", "ran"));
+        ranDone = snap.at("state").text == "done";
+        if (!ranDone)
+            std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    }
+    ASSERT_TRUE(ranDone);
 
     JsonValue stats;
     bool reclaimed = false;
