@@ -91,7 +91,12 @@ main(int argc, char **argv)
         // call would walk the whole suite again for that single
         // configuration. Appending keeps the point order (and every
         // artifact) identical to the two-call form.
-        std::vector<unsigned> sweep_lengths = lengths;
+        // Reserved before the copy: GCC 12 reports a push_back past a
+        // copied vector's exact capacity as out of bounds
+        // (-Warray-bounds).
+        std::vector<unsigned> sweep_lengths;
+        sweep_lengths.reserve(lengths.size() + 1);
+        sweep_lengths.assign(lengths.begin(), lengths.end());
         bool have_log2 = false;
         for (unsigned len : lengths)
             have_log2 |= len == scheme.log2Size;

@@ -48,8 +48,11 @@ printCurve(BenchContext &ctx, const char *label, const char *title,
     std::vector<std::string> columns;
     std::vector<double> values;
     for (const auto &p : points) {
-        labels.push_back("h=" + std::to_string(p.histLen));
-        columns.push_back("h" + std::to_string(p.histLen));
+        // Appended, not prepended: GCC 12 misreads `"h" +
+        // std::string&&` as an overlapping memcpy (-Wrestrict).
+        const std::string len = std::to_string(p.histLen);
+        labels.push_back(std::string("h=").append(len));
+        columns.push_back(std::string("h").append(len));
         values.push_back(p.avgMispKI);
     }
     if (!benchQuiet()) {

@@ -8,57 +8,84 @@ namespace ev8
 namespace
 {
 
-/** Rebuilds word coordinates + bit position from a flat entry index. */
-struct FlatRef
+/** The wordline field (i10..i5) of a flat entry index. */
+constexpr unsigned
+wordlineOf(size_t idx)
 {
-    Ev8WordCoords coords;
-    unsigned bitpos;
+    return static_cast<unsigned>((idx >> 5) & (kEv8Wordlines - 1));
+}
 
-    FlatRef(TableId table, size_t idx)
-        : coords(ev8DecomposeIndex(table, idx)),
-          bitpos(ev8IndexOffset(idx))
-    {}
-};
+/**
+ * The 8-bit prediction word of a flat entry index: the bits at in-word
+ * offsets 0..7 sit 4 apart (offset is i4..i2) in one 32-bit run of the
+ * bitplane, so one word load and three shift-or steps gather them.
+ */
+uint8_t
+predWordAt(const SplitCounterArray &bank, size_t idx)
+{
+    const size_t base = idx & ~size_t{0x1c};
+    uint64_t w = (bank.predWords()[base / 64] >> (base % 64)) & 0x11111111;
+    w = (w | (w >> 3)) & 0x03030303;
+    w = (w | (w >> 6)) & 0x000f000f;
+    return static_cast<uint8_t>(w | (w >> 12));
+}
 
 } // namespace
 
-bool
-Ev8Predictor::PhysicalFacade::taken(TableId t, size_t idx) const
+template <bool Tracked>
+struct Ev8Predictor::Facade
 {
-    const FlatRef ref(t, idx);
-    return arrays.readPredBit(t, ref.coords, ref.bitpos);
-}
+    std::array<SplitCounterArray, kNumTables> &arrays;
+    Ev8AccessStats &access;
 
-void
-Ev8Predictor::PhysicalFacade::strengthen(TableId t, size_t idx)
-{
-    // Partial-update strengthen: copy the prediction bit into the
-    // hysteresis bit -- a hysteresis-array-only write (Section 4.3).
-    const FlatRef ref(t, idx);
-    arrays.writeHystBit(t, ref.coords, ref.bitpos,
-                        arrays.readPredBit(t, ref.coords, ref.bitpos));
-}
-
-void
-Ev8Predictor::PhysicalFacade::update(TableId t, size_t idx, bool v)
-{
-    // Full 2-bit counter step: read both bits, write back the stepped
-    // state (a misprediction-path access, Section 4.3).
-    const FlatRef ref(t, idx);
-    const bool p = arrays.readPredBit(t, ref.coords, ref.bitpos);
-    const bool h = arrays.readHystBit(t, ref.coords, ref.bitpos);
-    if (p == v) {
-        arrays.writeHystBit(t, ref.coords, ref.bitpos, p); // strengthen
-    } else if (h == p) {
-        arrays.writeHystBit(t, ref.coords, ref.bitpos, !p); // weaken
-    } else {
-        arrays.writePredBit(t, ref.coords, ref.bitpos, v);  // flip
-        arrays.writeHystBit(t, ref.coords, ref.bitpos, !v);
+    bool
+    taken(TableId t, size_t idx) const
+    {
+        if constexpr (Tracked)
+            access.notePredRead(t, wordlineOf(idx));
+        return arrays[t].taken(idx);
     }
-}
 
-Ev8Predictor::Ev8Predictor(const Ev8Config &config) : cfg(config)
+    /** Partial-update strengthen: the prediction bit is read and
+     *  copied into the hysteresis bit, a hysteresis-only write
+     *  (Section 4.3). */
+    void
+    strengthen(TableId t, size_t idx)
+    {
+        if constexpr (Tracked) {
+            access.notePredRead(t, wordlineOf(idx));
+            ++access.tables[t].hystWrites;
+        }
+        arrays[t].strengthen(idx);
+    }
+
+    /** Full 2-bit step: both bits are read; the hysteresis bit is
+     *  always written, the prediction bit only when it flips (a
+     *  misprediction-path access, Section 4.3). */
+    void
+    update(TableId t, size_t idx, bool v)
+    {
+        if constexpr (Tracked) {
+            const bool p = arrays[t].taken(idx);
+            Ev8AccessStats::Table &a = access.tables[t];
+            access.notePredRead(t, wordlineOf(idx));
+            ++a.hystReads;
+            ++a.hystWrites;
+            a.predWrites += p != v && arrays[t].rawHyst(idx) != p;
+        }
+        arrays[t].update(idx, v);
+    }
+};
+
+Ev8Predictor::Ev8Predictor(const Ev8Config &config)
+    : cfg(config), tables(&Ev8IndexTables::forMode(config.wordline))
 {
+    for (unsigned t = 0; t < kNumTables; ++t) {
+        const auto id = static_cast<TableId>(t);
+        const size_t entries = size_t{1} << ev8IndexBits(id);
+        banks[t] = SplitCounterArray(
+            entries, entries / (ev8PredColumns(id) / ev8HystColumns(id)));
+    }
 }
 
 Ev8IndexInput
@@ -72,31 +99,41 @@ Ev8Predictor::indexInput(const BranchSnapshot &snap)
     return in;
 }
 
+uint64_t
+Ev8Predictor::blockIndices(const BranchSnapshot &snap)
+{
+    if (snap.blockAddr != cachedBlockAddr
+        || snap.hist.indexHist != cachedHist
+        || snap.hist.pathZ != cachedPathZ || snap.bank != cachedBank) {
+        cachedBlockAddr = snap.blockAddr;
+        cachedHist = snap.hist.indexHist;
+        cachedPathZ = snap.hist.pathZ;
+        cachedBank = snap.bank;
+        cachedIndices = tables->packed(indexInput(snap));
+    }
+    return cachedIndices;
+}
+
 size_t
 Ev8Predictor::tableIndex(TableId table, const BranchSnapshot &snap) const
 {
-    return ev8EntryIndex(table, indexInput(snap), snap.pc, cfg.wordline);
-}
-
-GskewLookup
-Ev8Predictor::lookup(const BranchSnapshot &snap) const
-{
-    GskewLookup look;
-    const Ev8IndexInput in = indexInput(snap);
-    for (unsigned t = 0; t < kNumTables; ++t) {
-        look.idx[t] = ev8EntryIndex(static_cast<TableId>(t), in, snap.pc,
-                                    cfg.wordline);
-    }
-    const PhysicalFacade facade{
-        const_cast<Ev8PhysicalStorage &>(arrays)};
-    computeGskewVotes(facade, look);
-    return look;
+    return Ev8IndexTables::entry(
+        Ev8IndexTables::atBranch(tables->packed(indexInput(snap)),
+                                 snap.pc),
+        table);
 }
 
 bool
 Ev8Predictor::predict(const BranchSnapshot &snap)
 {
-    last = lookup(snap);
+    const uint64_t packed =
+        Ev8IndexTables::atBranch(blockIndices(snap), snap.pc);
+    for (unsigned t = 0; t < kNumTables; ++t)
+        last.idx[t] = Ev8IndexTables::entry(packed, TableId(t));
+    if (statsEnabled())
+        computeGskewVotes(Facade<true>{banks, access}, last);
+    else
+        computeGskewVotes(Facade<false>{banks, access}, last);
     return last.overall;
 }
 
@@ -105,24 +142,32 @@ Ev8Predictor::update(const BranchSnapshot &snap, bool taken, bool)
 {
     assert(last.idx[G1] == tableIndex(G1, snap));
     (void)snap;
-    if (statsEnabled())
+    auto train = [&](auto facade) {
+        if (cfg.partialUpdate)
+            gskewPartialUpdate(facade, last, taken);
+        else
+            gskewTotalUpdate(facade, last, taken);
+    };
+    if (statsEnabled()) {
         stats.note(last, taken);
-    PhysicalFacade facade{arrays};
-    if (cfg.partialUpdate)
-        gskewPartialUpdate(facade, last, taken);
-    else
-        gskewTotalUpdate(facade, last, taken);
+        train(Facade<true>{banks, access});
+    } else {
+        train(Facade<false>{banks, access});
+    }
 }
 
 Ev8BlockPrediction
 Ev8Predictor::predictBlock(const Ev8IndexInput &in) const
 {
     Ev8BlockPrediction out;
+    const uint64_t packed = tables->packed(in);
     std::array<uint8_t, kNumTables> words{};
     for (unsigned t = 0; t < kNumTables; ++t) {
         const auto id = static_cast<TableId>(t);
-        out.coords[t] = ev8WordCoords(id, in, cfg.wordline);
-        words[t] = arrays.readPredWord(id, out.coords[t]);
+        out.coords[t] = Ev8IndexTables::coords(packed, id);
+        words[t] = predWordAt(banks[t], Ev8IndexTables::entry(packed, id));
+        if (statsEnabled())
+            access.notePredRead(id, out.coords[t].wordline);
     }
     for (unsigned offset = 0; offset < Ev8BlockPrediction::kSlots;
          ++offset) {
@@ -146,7 +191,10 @@ Ev8Predictor::predictBlock(const Ev8IndexInput &in) const
 uint64_t
 Ev8Predictor::storageBits() const
 {
-    return Ev8PhysicalStorage::storageBits();
+    uint64_t bits = 0;
+    for (const SplitCounterArray &bank : banks)
+        bits += bank.storageBits();
+    return bits;
 }
 
 std::string
@@ -173,14 +221,16 @@ Ev8Predictor::publishMetrics(MetricRegistry &registry,
                              const std::string &prefix) const
 {
     publishGskewVoteStats(registry, prefix, stats);
-    arrays.publishMetrics(registry, prefix + ".storage");
+    access.publishMetrics(registry, prefix + ".storage");
 }
 
 void
 Ev8Predictor::reset()
 {
-    arrays.reset();
+    for (SplitCounterArray &bank : banks)
+        bank.reset();
     stats = GskewVoteStats{};
+    access = Ev8AccessStats{};
 }
 
 } // namespace ev8

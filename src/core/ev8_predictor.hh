@@ -2,11 +2,20 @@
  * @file
  * The Alpha EV8 conditional branch predictor -- the paper's artifact.
  *
- * A 352 Kbit 2Bc-gskew (Table 1 geometry) implemented over the physical
- * banked storage of Section 7.1, indexed with the hardware-constrained
- * functions of Sections 7.3-7.5, driven by the EV8 information vector
- * (three-fetch-blocks-old lghist + path, Section 5), and trained with
- * the partial-update policy of Section 4.2.
+ * A 352 Kbit 2Bc-gskew (Table 1 geometry), indexed with the
+ * hardware-constrained functions of Sections 7.3-7.5, driven by the EV8
+ * information vector (three-fetch-blocks-old lghist + path, Section 5),
+ * and trained with the partial-update policy of Section 4.2.
+ *
+ * Storage is four flat-indexed SplitCounterArray bitplanes (44 KB).
+ * The flat index keeps the banked layout of Section 7.1 in its bits --
+ * bank, in-word offset, wordline, column, with the hysteresis arrays
+ * dropping the column MSB -- so the bitplanes hold exactly what the
+ * eight physical arrays of Ev8PhysicalStorage hold, and the access
+ * tallies count exactly the array accesses those would see
+ * (tests/test_ev8_predictor.cc runs both side by side). The index
+ * functions are evaluated once per fetch block through
+ * Ev8IndexTables; each branch then only XORs in its in-block offset.
  *
  * The class exposes two equivalent access paths:
  *  - the ConditionalBranchPredictor interface used by the trace
@@ -26,6 +35,7 @@
 #include "core/physical_storage.hh"
 #include "predictors/gskew_policy.hh"
 #include "predictors/predictor.hh"
+#include "predictors/tables.hh"
 
 namespace ev8
 {
@@ -66,18 +76,10 @@ class Ev8Predictor final : public ConditionalBranchPredictor
     void reset() override;
     VoteSnapshot lastVotes() const override;
 
-    /** Publishes vote/conflict tallies plus the physical arrays'
-     *  wordline access counts ("<prefix>.storage.*"). */
+    /** Publishes vote/conflict tallies plus the arrays' access
+     *  tallies ("<prefix>.storage.*", counted while stats are on). */
     void publishMetrics(MetricRegistry &registry,
                         const std::string &prefix) const override;
-
-    /** Also switches the physical arrays' access tracking. */
-    void
-    enableStats(bool on) override
-    {
-        ConditionalBranchPredictor::enableStats(on);
-        arrays.setTracking(on);
-    }
 
     /**
      * Hardware-faithful block-wide prediction: one 8-bit word read per
@@ -90,27 +92,43 @@ class Ev8Predictor final : public ConditionalBranchPredictor
     size_t tableIndex(TableId table, const BranchSnapshot &snap) const;
 
     const Ev8Config &config() const { return cfg; }
-    const Ev8PhysicalStorage &storage() const { return arrays; }
+
+    /** The array access tallies (counted while stats are on). */
+    const Ev8AccessStats &accessStats() const { return access; }
+
+    /** Direct bitplane access for white-box tests. */
+    const SplitCounterArray &bank(TableId table) const
+    {
+        return banks[table];
+    }
 
   private:
-    /** Adapter mapping flat indices onto the physical arrays for the
-     *  shared 2Bc-gskew policy. */
-    struct PhysicalFacade
-    {
-        Ev8PhysicalStorage &arrays;
-
-        bool taken(TableId t, size_t idx) const;
-        void strengthen(TableId t, size_t idx);
-        void update(TableId t, size_t idx, bool v);
-    };
+    /** The shared policy's Banks interface over the bitplanes; the
+     *  Tracked form also tallies each access as the arrays see it. */
+    template <bool Tracked>
+    struct Facade;
 
     static Ev8IndexInput indexInput(const BranchSnapshot &snap);
-    GskewLookup lookup(const BranchSnapshot &snap) const;
+
+    /** The packed entry indices of @p snap's fetch block, cached. */
+    uint64_t blockIndices(const BranchSnapshot &snap);
 
     Ev8Config cfg;
-    Ev8PhysicalStorage arrays;
+    const Ev8IndexTables *tables;
+    std::array<SplitCounterArray, kNumTables> banks;
     GskewLookup last;
     GskewVoteStats stats;
+    //! Mutable: predictBlock() is a read and still counts its reads.
+    mutable Ev8AccessStats access;
+
+    /**
+     * Every branch of a fetch block shares its (A, H, Z, bank) inputs,
+     * so the table lookups run once per block and are keyed here.
+     * Initial values match all-zero inputs.
+     */
+    uint64_t cachedBlockAddr = 0, cachedHist = 0, cachedPathZ = 0;
+    unsigned cachedBank = 0;
+    uint64_t cachedIndices = 0;
 };
 
 } // namespace ev8

@@ -1,8 +1,10 @@
 #include "core/index_functions.hh"
 
 #include <cassert>
+#include <stdexcept>
 
 #include "common/bits.hh"
+#include "common/random.hh"
 
 namespace ev8
 {
@@ -206,6 +208,93 @@ ev8DecomposeIndex(TableId table, size_t index)
         (index >> 11) & mask(ev8ColumnBits(table)));
     coords.unshuffle = 0;
     return coords;
+}
+
+namespace
+{
+
+/** The reference equations' packed() word, bit by bit. */
+uint64_t
+referencePacked(const Ev8IndexInput &in, WordlineMode mode)
+{
+    uint64_t out = 0;
+    for (unsigned t = 0; t < kNumTables; ++t) {
+        const auto id = static_cast<TableId>(t);
+        out |= uint64_t{ev8EntryIndex(id, in, 0, mode)} << (16 * t);
+    }
+    return out;
+}
+
+} // namespace
+
+Ev8IndexTables::Ev8IndexTables(WordlineMode mode)
+{
+    // Probe every bit of A, H and Z with a unit vector (bank 0): the
+    // image of a unit vector is that bit's column of the GF(2) matrix.
+    std::array<std::array<uint64_t, 64>, kInputs> column{};
+    for (unsigned input = 0; input < kInputs; ++input) {
+        for (unsigned b = 0; b < 64; ++b) {
+            Ev8IndexInput in;
+            uint64_t *const src[kInputs] = {&in.blockAddr, &in.hist,
+                                            &in.zAddr};
+            *src[input] = uint64_t{1} << b;
+            column[input][b] = referencePacked(in, mode);
+        }
+    }
+
+    // Cover each input's span of relevant bits with 8-bit chunks.
+    for (unsigned input = 0; input < kInputs; ++input) {
+        int lo = -1, hi = -1;
+        for (unsigned b = 0; b < 64; ++b) {
+            if (column[input][b] != 0) {
+                lo = lo < 0 ? int(b) : lo;
+                hi = int(b);
+            }
+        }
+        for (int shift = lo; lo >= 0 && shift <= hi; shift += 8) {
+            Chunk c{input, unsigned(shift), {}};
+            for (unsigned v = 0; v < 256; ++v) {
+                for (unsigned k = 0; k < 8 && shift + k < 64; ++k) {
+                    if ((v >> k) & 1)
+                        c.table[v] ^= column[input][shift + k];
+                }
+            }
+            chunks.push_back(c);
+        }
+    }
+
+    // A map that is linear agrees with its unit-vector expansion
+    // everywhere; one that is not fails on random vectors with
+    // overwhelming probability.
+    Rng rng(0xe58a11);
+    for (int i = 0; i < 256; ++i) {
+        Ev8IndexInput in;
+        in.blockAddr = rng.next();
+        in.hist = rng.next();
+        in.zAddr = rng.next();
+        in.bank = unsigned(rng.below(4));
+        if (packed(in) != referencePacked(in, mode)) {
+            throw std::logic_error(
+                "EV8 index functions are not GF(2)-linear");
+        }
+    }
+}
+
+const Ev8IndexTables &
+Ev8IndexTables::forMode(WordlineMode mode)
+{
+    static const Ev8IndexTables ev8(WordlineMode::Ev8);
+    static const Ev8IndexTables address_only(WordlineMode::AddressOnly);
+    return mode == WordlineMode::Ev8 ? ev8 : address_only;
+}
+
+Ev8WordCoords
+Ev8IndexTables::coords(uint64_t packed, TableId table)
+{
+    const size_t idx = entry(packed, table);
+    Ev8WordCoords c = ev8DecomposeIndex(table, idx);
+    c.unshuffle = ev8IndexOffset(idx);
+    return c;
 }
 
 } // namespace ev8

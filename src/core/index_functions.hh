@@ -27,8 +27,10 @@
 #ifndef EV8_CORE_INDEX_FUNCTIONS_HH
 #define EV8_CORE_INDEX_FUNCTIONS_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "predictors/gskew_policy.hh"
 
@@ -116,6 +118,78 @@ ev8IndexOffset(size_t index)
 {
     return static_cast<unsigned>((index >> 2) & 7);
 }
+
+/**
+ * The index functions of one WordlineMode, compiled to byte tables.
+ *
+ * Every index bit above is an XOR of address, lghist and path bits, so
+ * the map from (A, H, Z) to the four tables' word coordinates is linear
+ * over GF(2). The tables are derived from ev8WordCoords() itself, which
+ * stays the reference: each input bit is probed with a unit vector,
+ * the derivation checks linearity on random vectors (and throws
+ * std::logic_error if the equations ever stop being linear), and every
+ * 8-bit run of the input bits that matter becomes a 256-entry table of
+ * XOR contributions. Under WordlineMode::Ev8, six lookups (two for A
+ * bits 5-15, three for H bits 0-20, one for Z bits 5-6) replace about
+ * 80 single-bit extractions per table.
+ *
+ * Packed layout: table t owns bits [16t, 16t+16) of one uint64_t and
+ * holds its ev8EntryIndex() for a branch at in-block offset 0 -- the
+ * bank, the unshuffle parameter u in the offset field, the wordline
+ * and the column.
+ */
+class Ev8IndexTables
+{
+  public:
+    /** The tables of @p mode, derived once per process. */
+    static const Ev8IndexTables &forMode(WordlineMode mode);
+
+    /** Every table's packed entry index at in-block offset 0. */
+    uint64_t
+    packed(const Ev8IndexInput &in) const
+    {
+        const uint64_t src[kInputs] = {in.blockAddr, in.hist, in.zAddr};
+        uint64_t out = (in.bank & 3) * kLaneOne;
+        for (const Chunk &c : chunks)
+            out ^= c.table[(src[c.input] >> c.shift) & 0xff];
+        return out;
+    }
+
+    /** Moves a packed() word to the in-block offset of @p branch_pc:
+     *  each offset field becomes (a4,a3,a2) XOR u. */
+    static constexpr uint64_t
+    atBranch(uint64_t packed, uint64_t branch_pc)
+    {
+        return packed ^ (((branch_pc >> 2) & 7) * (kLaneOne << 2));
+    }
+
+    /** Table @p table's entry index in a packed word. */
+    static constexpr size_t
+    entry(uint64_t packed, TableId table)
+    {
+        return static_cast<size_t>((packed >> (16 * table)) & 0xffff);
+    }
+
+    /** Table @p table's word coordinates in a packed() word. */
+    static Ev8WordCoords coords(uint64_t packed, TableId table);
+
+  private:
+    explicit Ev8IndexTables(WordlineMode mode);
+
+    /** The inputs, in packed()'s source order: A, H, Z. */
+    static constexpr unsigned kInputs = 3;
+    static constexpr uint64_t kLaneOne = 0x0001000100010001ULL;
+
+    /** One 8-bit run of one input and its XOR contributions. */
+    struct Chunk
+    {
+        unsigned input;
+        unsigned shift;
+        std::array<uint64_t, 256> table;
+    };
+
+    std::vector<Chunk> chunks;
+};
 
 } // namespace ev8
 

@@ -48,10 +48,7 @@ Ev8PhysicalStorage::hystBitIndex(TableId table, const Ev8WordCoords &c,
 uint8_t
 Ev8PhysicalStorage::readPredWord(TableId table, const Ev8WordCoords &c) const
 {
-    if (tracking) {
-        ++access[table].predReads;
-        ++wordlineReads_[table][c.wordline];
-    }
+    access.notePredRead(table, c.wordline);
     uint8_t word = 0;
     for (unsigned b = 0; b < 8; ++b)
         word |= static_cast<uint8_t>(pred[table][predBitIndex(table, c, b)]
@@ -63,10 +60,7 @@ bool
 Ev8PhysicalStorage::readPredBit(TableId table, const Ev8WordCoords &c,
                                 unsigned bitpos) const
 {
-    if (tracking) {
-        ++access[table].predReads;
-        ++wordlineReads_[table][c.wordline];
-    }
+    access.notePredRead(table, c.wordline);
     return pred[table][predBitIndex(table, c, bitpos)] != 0;
 }
 
@@ -74,8 +68,7 @@ void
 Ev8PhysicalStorage::writePredBit(TableId table, const Ev8WordCoords &c,
                                  unsigned bitpos, bool value)
 {
-    if (tracking)
-        ++access[table].predWrites;
+    ++access.tables[table].predWrites;
     pred[table][predBitIndex(table, c, bitpos)] = value ? 1 : 0;
 }
 
@@ -83,8 +76,7 @@ bool
 Ev8PhysicalStorage::readHystBit(TableId table, const Ev8WordCoords &c,
                                 unsigned bitpos) const
 {
-    if (tracking)
-        ++access[table].hystReads;
+    ++access.tables[table].hystReads;
     return hyst[table][hystBitIndex(table, c, bitpos)] != 0;
 }
 
@@ -92,8 +84,7 @@ void
 Ev8PhysicalStorage::writeHystBit(TableId table, const Ev8WordCoords &c,
                                  unsigned bitpos, bool value)
 {
-    if (tracking)
-        ++access[table].hystWrites;
+    ++access.tables[table].hystWrites;
     hyst[table][hystBitIndex(table, c, bitpos)] = value ? 1 : 0;
 }
 
@@ -105,24 +96,23 @@ Ev8PhysicalStorage::reset()
         hyst[t].assign(hyst[t].size(), 1);
     }
     access = {};
-    wordlineReads_ = {};
 }
 
 void
-Ev8PhysicalStorage::publishMetrics(MetricRegistry &registry,
-                                   const std::string &prefix) const
+Ev8AccessStats::publishMetrics(MetricRegistry &registry,
+                               const std::string &prefix) const
 {
     static const char *const names[kNumTables] = {"bim", "g0", "g1",
                                                   "meta"};
     for (unsigned t = 0; t < kNumTables; ++t) {
         const std::string base = prefix + "." + names[t];
-        const AccessStats &a = access[t];
+        const Table &a = tables[t];
         registry.counter(base + ".pred_reads").inc(a.predReads);
         registry.counter(base + ".pred_writes").inc(a.predWrites);
         registry.counter(base + ".hyst_reads").inc(a.hystReads);
         registry.counter(base + ".hyst_writes").inc(a.hystWrites);
 
-        const auto &wl = wordlineReads_[t];
+        const auto &wl = a.wordlineReads;
         const uint64_t max =
             *std::max_element(wl.begin(), wl.end());
         const uint64_t total =

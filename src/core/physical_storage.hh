@@ -56,7 +56,47 @@ ev8HystColumns(TableId table)
 }
 
 /**
- * Bit-accurate model of the eight EV8 predictor memory arrays.
+ * Access tallies of the EV8 arrays: one count per read or write call
+ * on a table's prediction or hysteresis array, and the prediction-array
+ * reads that touched each wordline (summed over the four banks: the
+ * aliasing-pressure fingerprint).
+ */
+struct Ev8AccessStats
+{
+    struct Table
+    {
+        uint64_t predReads = 0;
+        uint64_t predWrites = 0;
+        uint64_t hystReads = 0;
+        uint64_t hystWrites = 0;
+        std::array<uint64_t, kEv8Wordlines> wordlineReads{};
+    };
+
+    std::array<Table, kNumTables> tables{};
+
+    /** One prediction-array read of @p wordline in @p table. */
+    void
+    notePredRead(TableId table, unsigned wordline)
+    {
+        ++tables[table].predReads;
+        ++tables[table].wordlineReads[wordline];
+    }
+
+    /**
+     * Publishes counters "<prefix>.<table>.{pred_reads,pred_writes,
+     * hyst_reads,hyst_writes}" and gauges
+     * "<prefix>.<table>.wordline_{max,mean}_reads" (table in
+     * {bim,g0,g1,meta}).
+     */
+    void publishMetrics(MetricRegistry &registry,
+                        const std::string &prefix) const;
+};
+
+/**
+ * Bit-accurate model of the eight EV8 predictor memory arrays: the
+ * Section 7.1 reference that tests/test_ev8_predictor.cc drives beside
+ * Ev8Predictor, whose flat-indexed bitplanes must match it access for
+ * access.
  *
  * Initial state is weakly not-taken everywhere: prediction bit 0,
  * hysteresis bit 1.
@@ -100,43 +140,8 @@ class Ev8PhysicalStorage
 
     void reset();
 
-    /** Per-table access tallies (one count per read/write call). */
-    struct AccessStats
-    {
-        uint64_t predReads = 0;
-        uint64_t predWrites = 0;
-        uint64_t hystReads = 0;
-        uint64_t hystWrites = 0;
-    };
-
-    const AccessStats &accessStats(TableId table) const
-    {
-        return access[table];
-    }
-
-    /**
-     * Enables the per-access tallies below. Off by default: the arrays
-     * sit on the prediction hot path, and the counters only matter when
-     * publishMetrics() will be called.
-     */
-    void setTracking(bool on) { tracking = on; }
-
-    /** Prediction-array reads that touched each wordline of @p table,
-     *  summed over the four banks (aliasing-pressure fingerprint). */
-    const std::array<uint64_t, kEv8Wordlines> &
-    wordlineReads(TableId table) const
-    {
-        return wordlineReads_[table];
-    }
-
-    /**
-     * Publishes counters "<prefix>.<table>.{pred_reads,pred_writes,
-     * hyst_reads,hyst_writes}" and gauges
-     * "<prefix>.<table>.wordline_{max,mean}_reads" (table in
-     * {bim,g0,g1,meta}).
-     */
-    void publishMetrics(MetricRegistry &registry,
-                        const std::string &prefix) const;
+    /** Every access since construction or reset(). */
+    const Ev8AccessStats &accessStats() const { return access; }
 
   private:
     size_t predBitIndex(TableId table, const Ev8WordCoords &c,
@@ -144,15 +149,12 @@ class Ev8PhysicalStorage
     size_t hystBitIndex(TableId table, const Ev8WordCoords &c,
                         unsigned bitpos) const;
 
-    // One byte per bit: simple and fast enough for simulation.
+    // One byte per bit: the plainest model, for a reference.
     std::array<std::vector<uint8_t>, kNumTables> pred;
     std::array<std::vector<uint8_t>, kNumTables> hyst;
 
     // Access tallies; mutable because reads are logically const.
-    bool tracking = false;
-    mutable std::array<AccessStats, kNumTables> access{};
-    mutable std::array<std::array<uint64_t, kEv8Wordlines>, kNumTables>
-        wordlineReads_{};
+    mutable Ev8AccessStats access;
 };
 
 /**

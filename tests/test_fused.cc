@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/simd.hh"
+#include "core/ev8_predictor.hh"
 #include "obs/event_trace.hh"
 #include "obs/export.hh"
 #include "obs/metrics.hh"
@@ -44,6 +45,19 @@
 
 namespace ev8
 {
+
+/**
+ * Names a SimConfig test parameter by its walk settings. Without it,
+ * gtest prints the struct's raw bytes (pointers included), and the
+ * discovered ctest names change from build to build.
+ */
+void
+PrintTo(const SimConfig &config, std::ostream *os)
+{
+    *os << "history " << static_cast<int>(config.history) << " age "
+        << config.historyAge << (config.assignBanks ? " banks" : "");
+}
+
 namespace
 {
 
@@ -63,6 +77,20 @@ laneSpecs()
         "bimode:10:10:10",         // FusedSteppable
         "perceptron:10:16",        // generic (virtual) bucket
     };
+}
+
+/**
+ * A directly built Ev8Predictor lane (the factory has no EV8 spec).
+ * EV8 has no group stepper: its lanes take the plain
+ * predict()/update() protocol.
+ */
+PredictorPtr
+makeEv8(bool partial, WordlineMode mode = WordlineMode::Ev8)
+{
+    Ev8Config cfg;
+    cfg.partialUpdate = partial;
+    cfg.wordline = mode;
+    return std::make_unique<Ev8Predictor>(cfg);
 }
 
 void
@@ -97,19 +125,27 @@ TEST_P(FusedKernelTest, MatchesPerLaneSimulation)
     const SimConfig config = GetParam();
 
     std::vector<PredictorPtr> fused_preds, ref_preds;
+    std::vector<std::string> labels;
     std::vector<FusedLane> lanes;
     for (const std::string &spec : laneSpecs()) {
         fused_preds.push_back(makePredictor(spec));
         ref_preds.push_back(makePredictor(spec));
-        lanes.push_back({fused_preds.back().get(), nullptr, nullptr});
+        labels.push_back(spec);
     }
+    for (const bool partial : {true, false}) {
+        fused_preds.push_back(makeEv8(partial));
+        ref_preds.push_back(makeEv8(partial));
+        labels.push_back(partial ? "ev8-partial" : "ev8-total");
+    }
+    for (const PredictorPtr &pred : fused_preds)
+        lanes.push_back({pred.get(), nullptr, nullptr});
 
     const auto fused = simulateStreamFused(stream, lanes, config);
     ASSERT_EQ(fused.size(), lanes.size());
     for (size_t i = 0; i < lanes.size(); ++i) {
         const SimResult ref =
             simulateStream(stream, *ref_preds[i], config);
-        expectSameResult(fused[i], ref, laneSpecs()[i]);
+        expectSameResult(fused[i], ref, labels[i]);
     }
 }
 
@@ -258,11 +294,20 @@ using LaneFactory = std::function<PredictorPtr(size_t)>;
 /**
  * The group-stepped families, each with per-lane geometry so that the
  * lanes of one walk differ: 2Bc-gskew under both update policies (odd
- * lanes hash the path registers too), gshare and bimodal.
+ * lanes hash the path registers too), gshare and bimodal. EV8 under
+ * both update policies rides along (odd lanes take the address-only
+ * wordline): it has no group stepper, so its observed walks take the
+ * plain predict()/update() protocol with its storage tallies on.
  */
 std::vector<std::pair<std::string, LaneFactory>>
 groupFamilies()
 {
+    const auto ev8 = [](bool partial) {
+        return [partial](size_t l) {
+            return makeEv8(partial, l % 2 == 1 ? WordlineMode::AddressOnly
+                                               : WordlineMode::Ev8);
+        };
+    };
     const auto gskew = [](bool partial) {
         return [partial](size_t l) -> PredictorPtr {
             const unsigned h = static_cast<unsigned>(l);
@@ -287,6 +332,8 @@ groupFamilies()
              return std::make_unique<BimodalPredictor>(
                  8 + static_cast<unsigned>(l));
          }},
+        {"ev8-partial", ev8(true)},
+        {"ev8-total", ev8(false)},
     };
 }
 

@@ -347,5 +347,73 @@ TEST(EntryIndex, HistoryConsumptionMatchesTable1Lengths)
     }
 }
 
+// ---------------------------------------------------------------------
+// The compiled byte tables against the reference equations.
+// ---------------------------------------------------------------------
+
+/** Ev8IndexTables reproduce ev8WordCoords()/ev8EntryIndex() exactly. */
+::testing::AssertionResult
+tablesMatchReference(const Ev8IndexInput &in, WordlineMode mode,
+                     unsigned slot)
+{
+    const uint64_t packed = Ev8IndexTables::forMode(mode).packed(in);
+    const uint64_t pc = uint64_t{slot} * 4;
+    for (TableId t : {BIM, G0, G1, META}) {
+        const Ev8WordCoords want = ev8WordCoords(t, in, mode);
+        const Ev8WordCoords got = Ev8IndexTables::coords(packed, t);
+        if (got.bank != want.bank || got.wordline != want.wordline
+            || got.column != want.column
+            || got.unshuffle != want.unshuffle) {
+            return ::testing::AssertionFailure()
+                << "table " << t << " coordinates differ";
+        }
+        const size_t idx =
+            Ev8IndexTables::entry(Ev8IndexTables::atBranch(packed, pc), t);
+        if (idx != ev8EntryIndex(t, in, pc, mode)) {
+            return ::testing::AssertionFailure()
+                << "table " << t << " entry index differs at slot "
+                << slot;
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST(IndexTables, MatchReferenceOnEveryUnitVector)
+{
+    for (const WordlineMode mode :
+         {WordlineMode::Ev8, WordlineMode::AddressOnly}) {
+        for (unsigned which = 0; which < 3; ++which) {
+            for (unsigned b = 0; b < 64; ++b) {
+                for (unsigned bank = 0; bank < 4; ++bank) {
+                    Ev8IndexInput in = input(0, 0, 0, bank);
+                    uint64_t *const src[3] = {&in.blockAddr, &in.hist,
+                                              &in.zAddr};
+                    *src[which] = uint64_t{1} << b;
+                    for (unsigned slot = 0; slot < 8; ++slot) {
+                        ASSERT_TRUE(tablesMatchReference(in, mode, slot))
+                            << "input " << which << " bit " << b
+                            << " bank " << bank;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(IndexTables, MatchReferenceOnRandomInputs)
+{
+    for (const WordlineMode mode :
+         {WordlineMode::Ev8, WordlineMode::AddressOnly}) {
+        Rng rng(2002);
+        for (int i = 0; i < 100000; ++i) {
+            const Ev8IndexInput in = input(rng.next(), rng.next(),
+                                           rng.next(),
+                                           unsigned(rng.below(4)));
+            ASSERT_TRUE(tablesMatchReference(in, mode, unsigned(i) % 8))
+                << "random input " << i;
+        }
+    }
+}
+
 } // namespace
 } // namespace ev8

@@ -100,8 +100,12 @@ TEST(TraceSpan, ConcurrentSpansSerializeToValidChromeTrace)
             tracer.setThreadName("span-test-" + std::to_string(t));
             for (unsigned i = 0; i < kSpansPerThread; ++i) {
                 ScopedSpan span(SpanPhase::Cell);
-                span.rename("t" + std::to_string(t) + ":"
-                            + std::to_string(i));
+                // Appended, not prepended: GCC 12 misreads `"t" +
+                // std::string&&` as an overlapping memcpy (-Wrestrict).
+                span.rename(std::string("t")
+                                .append(std::to_string(t))
+                                .append(":")
+                                .append(std::to_string(i)));
                 span.arg("i", uint64_t{i});
                 span.arg("who", "worker \"quoted\\path\"");
             }
