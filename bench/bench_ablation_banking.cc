@@ -11,6 +11,11 @@
  *  - the bank-usage balance of both schemes;
  *  - the line predictor's accuracy and the resulting front-end
  *    throughput estimate, for context (Section 2).
+ *
+ * This binary only counts bank conflicts: it runs no branch predictor
+ * and no engine cells. The `ablation-banking` registry grid
+ * (src/serve/grids.cc), despite the shared name, is the accuracy grid
+ * of banked EV8 against the same-size unconstrained 2Bc-gskew.
  */
 
 #include <array>

@@ -20,6 +20,7 @@
 #include <cstdlib>
 
 #include "core/ev8_predictor.hh"
+#include "core/physical_storage.hh"
 #include "frontend/bank_scheduler.hh"
 #include "frontend/fetch_block.hh"
 #include "frontend/jump_predictor.hh"

@@ -138,14 +138,8 @@ skewHInv(uint64_t value, unsigned n)
 {
     assert(n >= 2 && n < 64);
     const uint64_t top = bit(value, n - 1);
-    uint64_t shifted = (value << 1) & mask(n);
-    // old bit0 = top XOR old bit(n-1); old bit(n-1) is now bit 0 slot
-    // of 'shifted' candidates: old value v satisfied
-    //   skewH(v) = (v >> 1) | ((v0 ^ v_{n-1}) << (n-1))
-    // so v_{n-1} = bit(value, n-2) when n > 2 ... reconstruct directly:
-    // bits n-1..1 of v are bits n-2..0 of value; v0 = top ^ v_{n-1}.
-    const uint64_t vTop = n >= 2 ? bit(value, n - 2) : 0;
-    return (shifted | (top ^ vTop)) & mask(n);
+    const uint64_t shifted = (value << 1) & mask(n);
+    return (shifted | (top ^ bit(value, n - 2))) & mask(n);
 }
 
 /** Applies skewH @p times times. */

@@ -1,6 +1,10 @@
 #include "core/ev8_predictor.hh"
 
+#include <algorithm>
 #include <cassert>
+#include <numeric>
+
+#include "obs/metrics.hh"
 
 namespace ev8
 {
@@ -231,6 +235,32 @@ Ev8Predictor::reset()
         bank.reset();
     stats = GskewVoteStats{};
     access = Ev8AccessStats{};
+}
+
+void
+Ev8AccessStats::publishMetrics(MetricRegistry &registry,
+                               const std::string &prefix) const
+{
+    static const char *const names[kNumTables] = {"bim", "g0", "g1",
+                                                  "meta"};
+    for (unsigned t = 0; t < kNumTables; ++t) {
+        const std::string base = prefix + "." + names[t];
+        const Table &a = tables[t];
+        registry.counter(base + ".pred_reads").inc(a.predReads);
+        registry.counter(base + ".pred_writes").inc(a.predWrites);
+        registry.counter(base + ".hyst_reads").inc(a.hystReads);
+        registry.counter(base + ".hyst_writes").inc(a.hystWrites);
+
+        const auto &wl = a.wordlineReads;
+        const uint64_t max =
+            *std::max_element(wl.begin(), wl.end());
+        const uint64_t total =
+            std::accumulate(wl.begin(), wl.end(), uint64_t{0});
+        registry.gauge(base + ".wordline_max_reads")
+            .set(static_cast<double>(max));
+        registry.gauge(base + ".wordline_mean_reads")
+            .set(static_cast<double>(total) / kEv8Wordlines);
+    }
 }
 
 } // namespace ev8

@@ -32,13 +32,49 @@
 #include <string>
 
 #include "core/index_functions.hh"
-#include "core/physical_storage.hh"
 #include "predictors/gskew_policy.hh"
 #include "predictors/predictor.hh"
 #include "predictors/tables.hh"
 
 namespace ev8
 {
+
+/**
+ * Access tallies of the EV8 arrays: one count per read or write call
+ * on a table's prediction or hysteresis array, and the prediction-array
+ * reads that touched each wordline (summed over the four banks: the
+ * aliasing-pressure fingerprint).
+ */
+struct Ev8AccessStats
+{
+    struct Table
+    {
+        uint64_t predReads = 0;
+        uint64_t predWrites = 0;
+        uint64_t hystReads = 0;
+        uint64_t hystWrites = 0;
+        std::array<uint64_t, kEv8Wordlines> wordlineReads{};
+    };
+
+    std::array<Table, kNumTables> tables{};
+
+    /** One prediction-array read of @p wordline in @p table. */
+    void
+    notePredRead(TableId table, unsigned wordline)
+    {
+        ++tables[table].predReads;
+        ++tables[table].wordlineReads[wordline];
+    }
+
+    /**
+     * Publishes counters "<prefix>.<table>.{pred_reads,pred_writes,
+     * hyst_reads,hyst_writes}" and gauges
+     * "<prefix>.<table>.wordline_{max,mean}_reads" (table in
+     * {bim,g0,g1,meta}).
+     */
+    void publishMetrics(MetricRegistry &registry,
+                        const std::string &prefix) const;
+};
 
 /** Configuration switches of the constrained EV8 model. */
 struct Ev8Config

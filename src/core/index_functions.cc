@@ -1,10 +1,8 @@
 #include "core/index_functions.hh"
 
 #include <cassert>
-#include <stdexcept>
 
 #include "common/bits.hh"
-#include "common/random.hh"
 
 namespace ev8
 {
@@ -210,74 +208,21 @@ ev8DecomposeIndex(TableId table, size_t index)
     return coords;
 }
 
-namespace
-{
-
-/** The reference equations' packed() word, bit by bit. */
-uint64_t
-referencePacked(const Ev8IndexInput &in, WordlineMode mode)
-{
-    uint64_t out = 0;
-    for (unsigned t = 0; t < kNumTables; ++t) {
-        const auto id = static_cast<TableId>(t);
-        out |= uint64_t{ev8EntryIndex(id, in, 0, mode)} << (16 * t);
-    }
-    return out;
-}
-
-} // namespace
-
 Ev8IndexTables::Ev8IndexTables(WordlineMode mode)
+    : map({"A", "H", "Z"},
+          {ev8IndexBits(BIM), ev8IndexBits(G0), ev8IndexBits(G1),
+           ev8IndexBits(META)},
+          [mode](const Gf2IndexTables::Inputs &src) {
+              Ev8IndexInput in;
+              in.blockAddr = src[0];
+              in.hist = src[1];
+              in.zAddr = src[2];
+              Gf2IndexTables::Fields out{};
+              for (unsigned t = 0; t < kNumTables; ++t)
+                  out[t] = ev8EntryIndex(TableId(t), in, 0, mode);
+              return out;
+          })
 {
-    // Probe every bit of A, H and Z with a unit vector (bank 0): the
-    // image of a unit vector is that bit's column of the GF(2) matrix.
-    std::array<std::array<uint64_t, 64>, kInputs> column{};
-    for (unsigned input = 0; input < kInputs; ++input) {
-        for (unsigned b = 0; b < 64; ++b) {
-            Ev8IndexInput in;
-            uint64_t *const src[kInputs] = {&in.blockAddr, &in.hist,
-                                            &in.zAddr};
-            *src[input] = uint64_t{1} << b;
-            column[input][b] = referencePacked(in, mode);
-        }
-    }
-
-    // Cover each input's span of relevant bits with 8-bit chunks.
-    for (unsigned input = 0; input < kInputs; ++input) {
-        int lo = -1, hi = -1;
-        for (unsigned b = 0; b < 64; ++b) {
-            if (column[input][b] != 0) {
-                lo = lo < 0 ? int(b) : lo;
-                hi = int(b);
-            }
-        }
-        for (int shift = lo; lo >= 0 && shift <= hi; shift += 8) {
-            Chunk c{input, unsigned(shift), {}};
-            for (unsigned v = 0; v < 256; ++v) {
-                for (unsigned k = 0; k < 8 && shift + k < 64; ++k) {
-                    if ((v >> k) & 1)
-                        c.table[v] ^= column[input][shift + k];
-                }
-            }
-            chunks.push_back(c);
-        }
-    }
-
-    // A map that is linear agrees with its unit-vector expansion
-    // everywhere; one that is not fails on random vectors with
-    // overwhelming probability.
-    Rng rng(0xe58a11);
-    for (int i = 0; i < 256; ++i) {
-        Ev8IndexInput in;
-        in.blockAddr = rng.next();
-        in.hist = rng.next();
-        in.zAddr = rng.next();
-        in.bank = unsigned(rng.below(4));
-        if (packed(in) != referencePacked(in, mode)) {
-            throw std::logic_error(
-                "EV8 index functions are not GF(2)-linear");
-        }
-    }
 }
 
 const Ev8IndexTables &

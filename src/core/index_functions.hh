@@ -30,8 +30,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
+#include "common/gf2_index.hh"
 #include "predictors/gskew_policy.hh"
 
 namespace ev8
@@ -85,6 +85,29 @@ constexpr unsigned ev8IndexBits(TableId table)
     return 2 + 3 + 6 + ev8ColumnBits(table);
 }
 
+/** Wordlines per bank. */
+constexpr unsigned kEv8Wordlines = 64;
+
+/** Prediction-array columns (8-bit words per wordline) per table. */
+constexpr unsigned
+ev8PredColumns(TableId table)
+{
+    return table == BIM ? 8 : 32;
+}
+
+/** Hysteresis-array columns per table: half size for G0 and Meta. */
+constexpr unsigned
+ev8HystColumns(TableId table)
+{
+    switch (table) {
+      case BIM: return 8;
+      case G0: return 16;
+      case G1: return 32;
+      case META: return 16;
+      default: return 0;
+    }
+}
+
 /** Computes the word coordinates for @p table under @p mode. */
 Ev8WordCoords ev8WordCoords(TableId table, const Ev8IndexInput &in,
                             WordlineMode mode);
@@ -124,14 +147,11 @@ ev8IndexOffset(size_t index)
  *
  * Every index bit above is an XOR of address, lghist and path bits, so
  * the map from (A, H, Z) to the four tables' word coordinates is linear
- * over GF(2). The tables are derived from ev8WordCoords() itself, which
- * stays the reference: each input bit is probed with a unit vector,
- * the derivation checks linearity on random vectors (and throws
- * std::logic_error if the equations ever stop being linear), and every
- * 8-bit run of the input bits that matter becomes a 256-entry table of
- * XOR contributions. Under WordlineMode::Ev8, six lookups (two for A
- * bits 5-15, three for H bits 0-20, one for Z bits 5-6) replace about
- * 80 single-bit extractions per table.
+ * over GF(2). The shared index compiler (common/gf2_index.hh) derives
+ * the tables from ev8WordCoords() itself, which stays the reference.
+ * Under WordlineMode::Ev8, six lookups (two for A bits 5-15, three for
+ * H bits 0-20, one for Z bits 5-6) replace about 80 single-bit
+ * extractions per table.
  *
  * Packed layout: table t owns bits [16t, 16t+16) of one uint64_t and
  * holds its ev8EntryIndex() for a branch at in-block offset 0 -- the
@@ -148,11 +168,8 @@ class Ev8IndexTables
     uint64_t
     packed(const Ev8IndexInput &in) const
     {
-        const uint64_t src[kInputs] = {in.blockAddr, in.hist, in.zAddr};
-        uint64_t out = (in.bank & 3) * kLaneOne;
-        for (const Chunk &c : chunks)
-            out ^= c.table[(src[c.input] >> c.shift) & 0xff];
-        return out;
+        return ((in.bank & 3) * kLaneOne)
+            ^ map.eval<1>({in.blockAddr, in.hist, in.zAddr})[0];
     }
 
     /** Moves a packed() word to the in-block offset of @p branch_pc:
@@ -176,19 +193,10 @@ class Ev8IndexTables
   private:
     explicit Ev8IndexTables(WordlineMode mode);
 
-    /** The inputs, in packed()'s source order: A, H, Z. */
-    static constexpr unsigned kInputs = 3;
     static constexpr uint64_t kLaneOne = 0x0001000100010001ULL;
 
-    /** One 8-bit run of one input and its XOR contributions. */
-    struct Chunk
-    {
-        unsigned input;
-        unsigned shift;
-        std::array<uint64_t, 256> table;
-    };
-
-    std::vector<Chunk> chunks;
+    //! Inputs (A, H, Z); the bank is XORed in by packed().
+    Gf2IndexTables map;
 };
 
 } // namespace ev8

@@ -25,72 +25,11 @@
 #include <string>
 #include <vector>
 
+#include "core/ev8_predictor.hh"
 #include "core/index_functions.hh"
 
 namespace ev8
 {
-
-class MetricRegistry; // obs/metrics.hh
-
-/** Wordlines per bank. */
-constexpr unsigned kEv8Wordlines = 64;
-
-/** Prediction-array columns (8-bit words per wordline) per table. */
-constexpr unsigned
-ev8PredColumns(TableId table)
-{
-    return table == BIM ? 8 : 32;
-}
-
-/** Hysteresis-array columns per table: half size for G0 and Meta. */
-constexpr unsigned
-ev8HystColumns(TableId table)
-{
-    switch (table) {
-      case BIM: return 8;
-      case G0: return 16;
-      case G1: return 32;
-      case META: return 16;
-      default: return 0;
-    }
-}
-
-/**
- * Access tallies of the EV8 arrays: one count per read or write call
- * on a table's prediction or hysteresis array, and the prediction-array
- * reads that touched each wordline (summed over the four banks: the
- * aliasing-pressure fingerprint).
- */
-struct Ev8AccessStats
-{
-    struct Table
-    {
-        uint64_t predReads = 0;
-        uint64_t predWrites = 0;
-        uint64_t hystReads = 0;
-        uint64_t hystWrites = 0;
-        std::array<uint64_t, kEv8Wordlines> wordlineReads{};
-    };
-
-    std::array<Table, kNumTables> tables{};
-
-    /** One prediction-array read of @p wordline in @p table. */
-    void
-    notePredRead(TableId table, unsigned wordline)
-    {
-        ++tables[table].predReads;
-        ++tables[table].wordlineReads[wordline];
-    }
-
-    /**
-     * Publishes counters "<prefix>.<table>.{pred_reads,pred_writes,
-     * hyst_reads,hyst_writes}" and gauges
-     * "<prefix>.<table>.wordline_{max,mean}_reads" (table in
-     * {bim,g0,g1,meta}).
-     */
-    void publishMetrics(MetricRegistry &registry,
-                        const std::string &prefix) const;
-};
 
 /**
  * Bit-accurate model of the eight EV8 predictor memory arrays: the

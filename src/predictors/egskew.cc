@@ -1,8 +1,6 @@
 #include "predictors/egskew.hh"
 
-#include "common/bits.hh"
 #include "obs/metrics.hh"
-#include "predictors/skew.hh"
 
 namespace ev8
 {
@@ -12,6 +10,11 @@ EgskewPredictor::EgskewPredictor(unsigned log2_entries,
                                  bool partial_update)
     : log2Entries(log2_entries), histLen(history_length),
       partialUpdate(partial_update),
+      // Bank 0 is the bimodal bank (address only); banks 1 and 2 take
+      // the skewing pairs H/H' and H^2/H'^2.
+      indexer(SkewIndexTables::shared({{0, log2_entries, 0},
+                                       {1, log2_entries, history_length},
+                                       {2, log2_entries, history_length}})),
       banks{TwoBitCounterTable(size_t{1} << log2_entries),
             TwoBitCounterTable(size_t{1} << log2_entries),
             TwoBitCounterTable(size_t{1} << log2_entries)}
@@ -21,14 +24,7 @@ EgskewPredictor::EgskewPredictor(unsigned log2_entries,
 void
 EgskewPredictor::computeIndices(const BranchSnapshot &snap)
 {
-    // Bank 0 is the bimodal bank: address only.
-    idx[0] = static_cast<size_t>(addressIndex(snap.pc, log2Entries));
-    idx[1] = static_cast<size_t>(skewIndex(1, snap.pc,
-                                           snap.hist.indexHist, histLen,
-                                           log2Entries));
-    idx[2] = static_cast<size_t>(skewIndex(2, snap.pc,
-                                           snap.hist.indexHist, histLen,
-                                           log2Entries));
+    indexer.indices(snap.pc, snap.hist.indexHist, idx.data());
     for (int b = 0; b < 3; ++b)
         vote[b] = banks[b].taken(idx[b]);
 }

@@ -13,6 +13,7 @@
 #include <array>
 
 #include "predictors/predictor.hh"
+#include "predictors/skew.hh"
 #include "predictors/tables.hh"
 
 namespace ev8
@@ -43,6 +44,9 @@ class EgskewPredictor final : public ConditionalBranchPredictor
      */
     bool predictAndUpdate(const BranchSnapshot &snap, bool taken);
 
+    /** The compiled index functions, shared per geometry. */
+    const SkewIndexTables &indexTables() const { return indexer.tables(); }
+
     uint64_t storageBits() const override;
     std::string name() const override;
     void reset() override;
@@ -59,6 +63,7 @@ class EgskewPredictor final : public ConditionalBranchPredictor
     unsigned log2Entries;
     unsigned histLen;
     bool partialUpdate;
+    SkewIndexer indexer;
     std::array<TwoBitCounterTable, 3> banks;
 
     // Lookup state cached between predict() and update().

@@ -5,17 +5,22 @@
  * it is included only by fused_vec_avx2.cc, the translation unit built
  * with -mavx2, so intrinsic code never leaks into plainly-compiled TUs.
  *
- * Every stepper is arithmetic-identical to its scalar sibling by
- * construction -- same folds, same H/H' chains, same counter
- * transitions -- so artifacts stay byte-identical across the two
- * EV8_SIMD backends (0 and avx2).
+ * Every stepper computes the same indices and counter transitions as
+ * its scalar sibling -- the 2Bc-gskew scalar stepper reads its indices
+ * from the compiled tables of predictors/skew.hh, this one folds and
+ * chains them in-register, and tests hold both to the reference -- so
+ * artifacts stay byte-identical across the two EV8_SIMD backends (0
+ * and avx2).
  * The layout of the work differs:
  *
  *  - 2Bc-gskew: phase A computes the deduplicated address/history
  *    slot terms four slots at a time (the fold loop runs until every
  *    lane's remainder is zero; finished lanes contribute zero XORs,
  *    and the per-table H/H' chains apply under per-slot all-ones
- *    masks). Phase B composes each lane's four indices from the slot
+ *    masks); the history slots are recomputed only when the history
+ *    moves (once per fetch block under lghist). Per-lane table
+ *    lookups of the compiled indices measured slower here: the slot
+ *    terms are shared across lanes. Phase B composes each lane's four indices from the slot
  *    values. Phase C gathers the prediction- and hysteresis-bitplane
  *    words four lanes at a time, votes with pure boolean lane math
  *    (majority = (b&g0)|(b&g1)|(g0&g1), overall = bim ^ (meta &
@@ -98,29 +103,35 @@ TwoBcGskewPredictor::FusedGroup::stepVec(const BranchSnapshot &snap,
         x.store(&aVal_[s]);
     }
 
-    // History-side slot terms through the inverse chain H'^table.
-    const Vec histv(snap.hist.indexHist);
-    for (size_t s = 0; s < paddedHist_; s += kW) {
-        const Vec n = Vec::load(&hN_[s]);
-        const Vec nm1 = Vec::load(&hNm1_[s]);
-        const Vec nm2 = Vec::load(&hNm2_[s]);
-        const Vec m = Vec::load(&hMask_[s]);
-        Vec v = histv & Vec::load(&hLenMask_[s]);
-        Vec x = Vec::zero();
-        while (!v.allZero()) {
-            x = x ^ (v & m);
-            v = Vec::srlv(v, n);
+    // History-side slot terms through the inverse chain H'^table,
+    // recomputed only when the history moves: once per fetch block
+    // under lghist. The all-zero initial slot values are the terms of
+    // history 0.
+    if (snap.hist.indexHist != lastHist_) {
+        lastHist_ = snap.hist.indexHist;
+        const Vec histv(snap.hist.indexHist);
+        for (size_t s = 0; s < paddedHist_; s += kW) {
+            const Vec n = Vec::load(&hN_[s]);
+            const Vec nm1 = Vec::load(&hNm1_[s]);
+            const Vec nm2 = Vec::load(&hNm2_[s]);
+            const Vec m = Vec::load(&hMask_[s]);
+            Vec v = histv & Vec::load(&hLenMask_[s]);
+            Vec x = Vec::zero();
+            while (!v.allZero()) {
+                x = x ^ (v & m);
+                v = Vec::srlv(v, n);
+            }
+            for (size_t c = 0; c < hChain_.size(); ++c) {
+                const Vec act = Vec::load(&hChain_[c][s]);
+                if (act.allZero())
+                    break;
+                const Vec top = Vec::srlv(x, nm1) & one;
+                const Vec vtop = Vec::srlv(x, nm2) & one;
+                const Vec xn = ((x << 1) & m) | (top ^ vtop);
+                x = Vec::blend(act, xn, x);
+            }
+            x.store(&hVal_[s]);
         }
-        for (size_t c = 0; c < hChain_.size(); ++c) {
-            const Vec act = Vec::load(&hChain_[c][s]);
-            if (act.allZero())
-                break;
-            const Vec top = Vec::srlv(x, nm1) & one;
-            const Vec vtop = Vec::srlv(x, nm2) & one;
-            const Vec xn = ((x << 1) & m) | (top ^ vtop);
-            x = Vec::blend(act, xn, x);
-        }
-        x.store(&hVal_[s]);
     }
 
     // Phase B: per-lane indices, counter reads and votes. The index

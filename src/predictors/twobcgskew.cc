@@ -44,8 +44,25 @@ TwoBcGskewConfig::storageBits() const
     return bits;
 }
 
+std::shared_ptr<const SkewIndexTables>
+TwoBcGskewPredictor::sharedIndexTables(const TwoBcGskewConfig &config)
+{
+    // Distinct skewing functions per table (the family of [17]); the
+    // table id selects the bijection pair. With path info the BIM takes
+    // its own light path fold, the others the full one.
+    std::vector<SkewField> fields;
+    for (unsigned t = 0; t < kNumTables; ++t) {
+        const TableGeometry &geo = config.tables[t];
+        const SkewField::Fold fold = !config.usePathInfo ? SkewField::NoFold
+                                     : t == BIM ? SkewField::BimFold
+                                                : SkewField::GskewFold;
+        fields.push_back({t, geo.log2Pred, geo.histLen, fold});
+    }
+    return SkewIndexTables::shared(fields);
+}
+
 TwoBcGskewPredictor::TwoBcGskewPredictor(const TwoBcGskewConfig &config)
-    : cfg(config)
+    : cfg(config), indexer(sharedIndexTables(config))
 {
     for (unsigned t = 0; t < kNumTables; ++t) {
         banksStorage[t] =
@@ -74,54 +91,36 @@ TwoBcGskewPredictor::gskewPathFold(const HistoryView &hist)
 }
 
 size_t
-TwoBcGskewPredictor::foldedIndex(TableId table, const BranchSnapshot &snap,
-                                 uint64_t fold) const
-{
-    const TableGeometry &geo = cfg.tables[table];
-    const uint64_t addr = snap.pc ^ fold;
-    if (table == BIM && geo.histLen == 0)
-        return static_cast<size_t>(addressIndex(addr, geo.log2Pred));
-    // Distinct skewing functions per table (the family of [17]); the
-    // table id selects the bijection pair.
-    return static_cast<size_t>(skewIndex(table, addr,
-                                         snap.hist.indexHist, geo.histLen,
-                                         geo.log2Pred));
-}
-
-size_t
 TwoBcGskewPredictor::tableIndex(TableId table,
                                 const BranchSnapshot &snap) const
 {
-    uint64_t fold = 0;
-    if (cfg.usePathInfo)
-        fold = table == BIM ? bimPathFold(snap.hist)
-                            : gskewPathFold(snap.hist);
-    return foldedIndex(table, snap, fold);
+    const bool path = cfg.usePathInfo;
+    size_t idx[kNumTables];
+    indexer.tables().indices(snap.pc, snap.hist.indexHist,
+                             path ? bimPathFold(snap.hist) : 0,
+                             path ? gskewPathFold(snap.hist) : 0, idx);
+    return idx[table];
+}
+
+void
+TwoBcGskewPredictor::followPath(const HistoryView &hist)
+{
+    if (hist.pathZ != cachedPathZ || hist.pathY != cachedPathY
+        || hist.pathX != cachedPathX) {
+        cachedPathZ = hist.pathZ;
+        cachedPathY = hist.pathY;
+        cachedPathX = hist.pathX;
+        indexer.setFolds(bimPathFold(hist), gskewPathFold(hist));
+    }
 }
 
 GskewLookup
 TwoBcGskewPredictor::lookup(const BranchSnapshot &snap)
 {
-    uint64_t bim_fold = 0, gskew_fold = 0;
-    if (cfg.usePathInfo) {
-        if (snap.hist.pathZ != cachedPathZ
-            || snap.hist.pathY != cachedPathY
-            || snap.hist.pathX != cachedPathX) {
-            cachedPathZ = snap.hist.pathZ;
-            cachedPathY = snap.hist.pathY;
-            cachedPathX = snap.hist.pathX;
-            cachedBimFold = bimPathFold(snap.hist);
-            cachedGskewFold = gskewPathFold(snap.hist);
-        }
-        bim_fold = cachedBimFold;
-        gskew_fold = cachedGskewFold;
-    }
-
+    if (cfg.usePathInfo)
+        followPath(snap.hist);
     GskewLookup look;
-    look.idx[BIM] = foldedIndex(BIM, snap, bim_fold);
-    look.idx[G0] = foldedIndex(G0, snap, gskew_fold);
-    look.idx[G1] = foldedIndex(G1, snap, gskew_fold);
-    look.idx[META] = foldedIndex(META, snap, gskew_fold);
+    indexer.indices(snap.pc, snap.hist.indexHist, look.idx.data());
     const ConstBankFacade facade{banksStorage};
     computeGskewVotes(facade, look);
     return look;
@@ -161,18 +160,27 @@ TwoBcGskewPredictor::FusedGroup::FusedGroup(
 {
     lanes_.assign(preds, preds + nlanes);
     statsOn_.resize(nlanes);
-    laneAddr_.resize(nlanes);
-    laneHist_.resize(nlanes);
     for (size_t l = 0; l < nlanes; ++l) {
-        TwoBcGskewPredictor &p = *lanes_[l];
-        statsOn_[l] = p.statsEnabled() ? 1 : 0;
+        statsOn_[l] = lanes_[l]->statsEnabled() ? 1 : 0;
+        if (lanes_[l]->cfg.usePathInfo)
+            pathLanes_.push_back(lanes_[l]);
+    }
+    backend_ = simd::activeBackend();
+    if (backend_ != simd::Backend::Off)
+        buildVectorState();
+}
+
+void
+TwoBcGskewPredictor::FusedGroup::buildVectorState()
+{
+    constexpr size_t kW = simd::kVecLanes;
+    laneAddr_.resize(lanes_.size());
+    laneHist_.resize(lanes_.size());
+    for (size_t l = 0; l < lanes_.size(); ++l) {
+        const TwoBcGskewPredictor &p = *lanes_[l];
         anyPathInfo_ |= p.cfg.usePathInfo;
         for (unsigned t = 0; t < kNumTables; ++t) {
             const TableGeometry &geo = p.cfg.tables[t];
-            // The same bounds skewIndex()/addressIndex() require.
-            assert(geo.log2Pred >= 1 && geo.log2Pred < 64);
-            assert(geo.log2Pred >= 2 || (t == BIM && geo.histLen == 0));
-            assert(geo.histLen <= 63);
             const uint8_t fold_kind = !p.cfg.usePathInfo ? 0
                                       : t == BIM         ? 1
                                                          : 2;
@@ -185,15 +193,6 @@ TwoBcGskewPredictor::FusedGroup::FusedGroup(
                          static_cast<uint8_t>(geo.histLen));
         }
     }
-    backend_ = simd::activeBackend();
-    if (backend_ != simd::Backend::Off)
-        buildVectorState();
-}
-
-void
-TwoBcGskewPredictor::FusedGroup::buildVectorState()
-{
-    constexpr size_t kW = simd::kVecLanes;
     const auto pad = [](size_t n) { return (n + kW - 1) & ~(kW - 1); };
     const uint64_t ones = ~uint64_t{0};
 
@@ -358,82 +357,20 @@ uint64_t
 TwoBcGskewPredictor::FusedGroup::stepScalar(const BranchSnapshot &snap,
                                             bool taken, uint64_t *misp)
 {
-    if (anyPathInfo_
-        && (snap.hist.pathZ != pathZ_ || snap.hist.pathY != pathY_
-            || snap.hist.pathX != pathX_)) {
-        pathZ_ = snap.hist.pathZ;
-        pathY_ = snap.hist.pathY;
-        pathX_ = snap.hist.pathX;
-        bimFold_ = bimPathFold(snap.hist);
-        gskewFold_ = gskewPathFold(snap.hist);
-    }
+    // Each path lane keeps its own fold cache: timed blocks move it
+    // through predict() behind the group's back.
+    for (TwoBcGskewPredictor *p : pathLanes_)
+        p->followPath(snap.hist);
 
-    // Address-side terms: one XOR-fold plus H^table chain per distinct
-    // slot, shared by every lane that subscripts it. The fold and H
-    // loops are written out longhand: this is the innermost arithmetic
-    // of a sweep, and in unoptimized builds the helper-call round trips
-    // cost more than the arithmetic itself.
-    for (AddrSlot &s : addrSlots_) {
-        const uint64_t fold = s.foldKind == 0
-                                  ? 0
-                                  : (s.foldKind == 1 ? bimFold_
-                                                     : gskewFold_);
-        const unsigned n = s.n;
-        const uint64_t m = mask(n);
-        uint64_t v = (snap.pc ^ fold) >> 2;
-        uint64_t x = 0;
-        while (v) {
-            x ^= v & m;
-            v >>= n;
-        }
-        for (unsigned i = 0; i < s.table; ++i) {
-            const uint64_t fb = (x ^ (x >> (n - 1))) & 1;
-            x = (x >> 1) | (fb << (n - 1));
-        }
-        s.value = x;
-    }
-
-    // History-side terms likewise, per distinct (table, width, length):
-    // the masked history folded to n bits through the inverse chain
-    // H'^table. In a history sweep these stay per-length, but the
-    // address side above has already collapsed to one term per table.
-    for (HistSlot &s : histSlots_) {
-        if (s.len == 0)
-            continue; // the address-only degenerate slot: constant 0
-        const unsigned n = s.n;
-        const uint64_t m = mask(n);
-        uint64_t v = snap.hist.indexHist & mask(s.len);
-        uint64_t x = 0;
-        while (v) {
-            x ^= v & m;
-            v >>= n;
-        }
-        for (unsigned i = 0; i < s.table; ++i) {
-            const uint64_t top = (x >> (n - 1)) & 1;
-            const uint64_t vtop = (x >> (n - 2)) & 1;
-            x = ((x << 1) & m) | (top ^ vtop);
-        }
-        s.value = x;
-    }
-
-    // Per-lane remainder: assemble the four indices from the shared
-    // terms, then vote, note and train exactly as predict(); update().
+    // Per lane: index, vote, note and train exactly as predict();
+    // update().
     uint64_t missed = 0;
     for (size_t l = 0; l < lanes_.size(); ++l) {
         TwoBcGskewPredictor &p = *lanes_[l];
-        const std::array<uint16_t, kNumTables> &as = laneAddr_[l];
-        const std::array<uint16_t, kNumTables> &hs = laneHist_[l];
         // Filled in place: p.last is exactly the state predict() would
         // cache, and the in-place fill saves a per-lane copy.
         GskewLookup &look = p.last;
-        look.idx[BIM] = static_cast<size_t>(
-            addrSlots_[as[BIM]].value ^ histSlots_[hs[BIM]].value);
-        look.idx[G0] = static_cast<size_t>(
-            addrSlots_[as[G0]].value ^ histSlots_[hs[G0]].value);
-        look.idx[G1] = static_cast<size_t>(
-            addrSlots_[as[G1]].value ^ histSlots_[hs[G1]].value);
-        look.idx[META] = static_cast<size_t>(
-            addrSlots_[as[META]].value ^ histSlots_[hs[META]].value);
+        p.indexer.indices(snap.pc, snap.hist.indexHist, look.idx.data());
         // computeGskewVotes() with the bank reads devirtualized: the
         // facade indirection costs a call frame per read here, in the
         // innermost loop of every fused sweep.

@@ -21,12 +21,14 @@
 #define EV8_PREDICTORS_TWOBCGSKEW_HH
 
 #include <array>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/simd.hh"
 #include "predictors/gskew_policy.hh"
 #include "predictors/predictor.hh"
+#include "predictors/skew.hh"
 #include "predictors/tables.hh"
 
 namespace ev8
@@ -112,19 +114,23 @@ class TwoBcGskewPredictor final : public ConditionalBranchPredictor
     /** Per-table index for a snapshot (exposed for tests). */
     size_t tableIndex(TableId table, const BranchSnapshot &snap) const;
 
+    /** The compiled index functions, shared per geometry. */
+    const SkewIndexTables &indexTables() const { return indexer.tables(); }
+
     /**
-     * Shared-index group stepper for the fused kernel: one instance
-     * drives every 2Bc-gskew lane of a fused job through one branch at
-     * a time. All lanes of a group see the same BranchSnapshot, and the
-     * address-side half of every skewed index -- the XOR-fold of
-     * (pc ^ path-fold) and its H^table chain -- depends only on that
-     * shared snapshot and the table geometry, never on per-lane state.
-     * The group therefore computes each distinct (table, fold kind,
-     * index width) term once per branch and each distinct (table,
-     * width, history length) history term once per branch, instead of
-     * once per lane; in a history sweep the address side collapses from
-     * 4*nlanes computations to 4. Table transitions and statistics are
-     * exactly those of a per-lane predict(); update() pair.
+     * Group stepper for the fused kernel: one instance drives every
+     * 2Bc-gskew lane of a fused job through one branch at a time. All
+     * lanes of a group see the same BranchSnapshot. The scalar stepper
+     * indexes each lane through its own SkewIndexer (compiled tables
+     * shared per geometry). The vector stepper instead shares index
+     * terms across lanes: the address-side half of every skewed index
+     * -- the XOR-fold of (pc ^ path-fold) and its H^table chain --
+     * depends only on the shared snapshot and the table geometry, so
+     * it computes each distinct (table, fold kind, index width) term
+     * and each distinct (table, width, history length) history term
+     * once per branch, four at a time, instead of once per lane. Table
+     * transitions and statistics are exactly those of a per-lane
+     * predict(); update() pair.
      *
      * A group built with @p event_walk (the kernel's event walks)
      * reports which lanes each step mispredicted, and after a
@@ -204,18 +210,24 @@ class TwoBcGskewPredictor final : public ConditionalBranchPredictor
 
         std::vector<TwoBcGskewPredictor *> lanes_;
         std::vector<uint8_t> statsOn_;
+        //! The lanes that hash the path registers (scalar stepper).
+        std::vector<TwoBcGskewPredictor *> pathLanes_;
+
+        // ---- vector-path index terms (built when backend_ != Off).
         std::vector<AddrSlot> addrSlots_;
         std::vector<HistSlot> histSlots_;
         //! Per lane, per table: subscripts into the two slot tables.
         std::vector<std::array<uint16_t, kNumTables>> laneAddr_;
         std::vector<std::array<uint16_t, kNumTables>> laneHist_;
 
-        //! Group-level path-fold cache, mirroring lookup()'s: the path
+        //! The vector stepper's group-level path-fold cache: the path
         //! registers move once per fetch block, and they are shared by
         //! the whole group.
         bool anyPathInfo_ = false;
         uint64_t pathZ_ = 0, pathY_ = 0, pathX_ = 0;
         uint64_t bimFold_ = 0, gskewFold_ = 0;
+        //! The history the vector history slots were computed for.
+        uint64_t lastHist_ = 0;
 
         //! Per-walk backend choice (EV8_SIMD / cpuid), made once in
         //! the constructor so in-process env overrides take effect.
@@ -305,9 +317,12 @@ class TwoBcGskewPredictor final : public ConditionalBranchPredictor
     /** The per-block gskew path fold of tableIndex() (Section 5.2). */
     static uint64_t gskewPathFold(const HistoryView &hist);
 
-    /** tableIndex() with the path fold already computed. */
-    size_t foldedIndex(TableId table, const BranchSnapshot &snap,
-                       uint64_t fold) const;
+    /** The compiled index tables of @p config's geometry. */
+    static std::shared_ptr<const SkewIndexTables>
+    sharedIndexTables(const TwoBcGskewConfig &config);
+
+    /** Points the indexer's path folds at @p hist's path registers. */
+    void followPath(const HistoryView &hist);
 
     GskewLookup lookup(const BranchSnapshot &snap);
 
@@ -316,14 +331,15 @@ class TwoBcGskewPredictor final : public ConditionalBranchPredictor
     GskewLookup last; //!< cached between predict() and update()
     GskewVoteStats stats;
 
+    //! Every table's index, from tables compiled per geometry.
+    SkewIndexer indexer;
+
     /**
-     * The path registers only change once per fetch block, so the two
-     * index folds derived from them are cached here and recomputed only
-     * when the registers move -- every branch of a block shares them.
+     * The path registers only change once per fetch block, so the
+     * indexer's fold contribution is refreshed only when they move.
      * Initial values match all-zero path registers (fold 0).
      */
     uint64_t cachedPathZ = 0, cachedPathY = 0, cachedPathX = 0;
-    uint64_t cachedBimFold = 0, cachedGskewFold = 0;
 
 #ifndef NDEBUG
     uint64_t lastPc = 0;        //!< predict() inputs, for update()'s

@@ -9,6 +9,7 @@
 
 #include "common/random.hh"
 #include "core/ev8_predictor.hh"
+#include "core/physical_storage.hh"
 #include "predictors/tables.hh"
 #include "sim/block_stream.hh"
 #include "sim/simulator.hh"
